@@ -3,11 +3,9 @@ energy-deformation decomposition of growth, discrete relaxation under
 affine boundary data, and least-squares homogenisation of growth."""
 
 from .springs import (
-    GrownDensity,
     PowerProfile,
     SpringLaw,
     growable_energy,
-    grown_density,
     profile_energy,
 )
 from .lattice import (

@@ -3,7 +3,8 @@
 Subcommands: error-map, simulate, oned, order, ground-state, decompose,
 check.  Each run reads an optional JSON config, applies flag overrides,
 and writes CSV/JSON outputs to the chosen directory.  The exit code is
-nonzero iff any stage reported failure.
+0 on success, 1 when a check fails, and 2 with one "error:" line when a run
+stops on bad input or on a search or relaxation that did not converge.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import continuum, experiments, lattice
+from . import continuum, experiments, lattice, solver
 from .serialize import write_json
 
 
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
                 print(f"{status} {name}{extra}")
             if not report["ok"]:
                 return 1
-    except (ValueError, continuum.GroundStateError) as exc:
+    except (ValueError, continuum.GroundStateError, solver.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

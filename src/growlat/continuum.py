@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Connectivity, HomogeneousLattice, OrderResult, lattice_order, square_connectivity
-from .springs import profile_deriv, profile_energy
+from .springs import per_length, spring_terms
 
 GEOMETRIC_TOL = 1e-10
 
@@ -35,46 +35,34 @@ def upper_triangular(lam1: float, lam2: float, lam3: float) -> np.ndarray:
     return np.array([[lam1, lam3], [0.0, lam2]])
 
 
-def _direction_norms(lattice: HomogeneousLattice, fs: np.ndarray) -> np.ndarray:
-    """||F v|| for a batch of deformation gradients; shape (n, n_dirs)."""
-    v = lattice.connectivity.matrix  # (A, D)
-    mapped = np.einsum("...ij,aj->...ai", fs, v)
-    return np.linalg.norm(mapped, axis=-1)
+def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
+    """Images F v of the directions v under a stack of deformation gradients;
+    shape (..., n_dirs, D)."""
+    return np.einsum("...ij,aj->...ai", np.asarray(fs, dtype=float), np.asarray(directions, dtype=float))
+
+
+def _cauchy_born_terms(lattice: HomogeneousLattice, fs: np.ndarray, order: int):
+    rest = np.asarray(lattice.rest)
+    growth = np.asarray(lattice.growth)
+    mapped = mapped_directions(lattice.connectivity.matrix, fs)
+    return mapped, *spring_terms(lattice.law, mapped, rest * growth, growth**lattice.law.p, order)
 
 
 def cauchy_born_energy(lattice: HomogeneousLattice, f: np.ndarray) -> float:
     """Continuum energy density sum_v g**p W(||Fv|| / (L g))."""
-    f = np.asarray(f, dtype=float)
-    norms = _direction_norms(lattice, f)
-    rest = np.asarray(lattice.rest)
-    growth = np.asarray(lattice.growth)
-    terms = growth**lattice.law.p * profile_energy(lattice.law, norms / (rest * growth))
-    return float(np.sum(terms))
+    return float(cauchy_born_energy_many(lattice, f))
 
 
 def cauchy_born_energy_many(lattice: HomogeneousLattice, fs: np.ndarray) -> np.ndarray:
     """Vectorised Cauchy-Born energy over a stack of deformation gradients."""
-    fs = np.asarray(fs, dtype=float)
-    norms = _direction_norms(lattice, fs)
-    rest = np.asarray(lattice.rest)
-    growth = np.asarray(lattice.growth)
-    terms = growth**lattice.law.p * profile_energy(lattice.law, norms / (rest * growth))
+    _, _, (terms,) = _cauchy_born_terms(lattice, fs, 0)
     return np.sum(terms, axis=-1)
 
 
 def cauchy_born_gradient(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarray:
     """d/dF of the Cauchy-Born energy; same shape as F."""
-    f = np.asarray(f, dtype=float)
-    v = lattice.connectivity.matrix
-    mapped = v @ f.T  # rows are F v
-    norms = np.linalg.norm(mapped, axis=1)
-    rest = np.asarray(lattice.rest)
-    growth = np.asarray(lattice.growth)
-    scale = rest * growth
-    w = growth**lattice.law.p * profile_deriv(lattice.law, norms / scale) / scale
-    safe = np.where(norms > 0, norms, 1.0)
-    coeff = np.where(norms > 0, w / safe, 0.0)
-    return np.einsum("a,ai,aj->ij", coeff, mapped, v)
+    mapped, norms, (_, slope) = _cauchy_born_terms(lattice, f, 1)
+    return np.einsum("a,ai,aj->ij", per_length(slope, norms), mapped, lattice.connectivity.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +202,10 @@ class Decomposition:
     def part_energy_many(self, k: int, fs: np.ndarray) -> np.ndarray:
         lat = self.lattice
         dirs = lat.connectivity.directions
-        idx = [dirs.index(v) for v in self.parts[k].directions]
-        v = np.asarray(self.parts[k].directions, dtype=float)
-        norms = np.linalg.norm(np.einsum("...ij,aj->...ai", np.asarray(fs, float), v), axis=-1)
-        rest = np.asarray([lat.rest[i] for i in idx])
-        return np.sum(profile_energy(lat.law, norms / rest), axis=-1)
+        part = self.parts[k].directions
+        rest = np.asarray([lat.rest[dirs.index(v)] for v in part])
+        _, (terms,) = spring_terms(lat.law, mapped_directions(part, fs), rest, 1.0)
+        return np.sum(terms, axis=-1)
 
     def initial_energy(self, f: np.ndarray) -> float:
         return float(sum(self.part_energy(k, f) for k in range(len(self.parts))))

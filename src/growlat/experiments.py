@@ -34,9 +34,10 @@ def _law(config):
 
 def _solver_opts(config):
     s = config.get("solver", {})
+    defaults = solver.SolverOptions()
     return solver.SolverOptions(
-        gtol_rel=float(s.get("gtol_rel", 1e-8)),
-        max_iter=int(s.get("max_iter", 50_000)),
+        gtol_rel=float(s.get("gtol_rel", defaults.gtol_rel)),
+        max_iter=int(s.get("max_iter", defaults.max_iter)),
     )
 
 

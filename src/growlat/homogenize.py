@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import Decomposition, rotation
+from .continuum import Decomposition, mapped_directions, rotation
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, minimize, relax_branch
 from .springs import SpringLaw, profile_energy
@@ -91,10 +91,13 @@ def measured_energies(
 ) -> np.ndarray:
     """Relaxed per-cell energy of the sample for each boundary gradient.
 
-    mode "branch" (default) equilibrates on the unbuckled branch by Newton
-    continuation from the affine state; mode "minimize" runs the full
-    descent, which falls into folded minima under strong compression that
-    the homogenised Cauchy-Born form cannot represent.
+    mode "branch" (default) equilibrates on the unbuckled branch with
+    step-capped Newton from the affine state (`relax_branch`, at most 60
+    steps); mode "minimize" runs trust-region Newton to a local minimum
+    (`minimize`, at most opts.max_iter iterations), which under strong
+    compression can be a folded state that the homogenised Cauchy-Born form
+    cannot represent.  A solve that does not converge raises
+    ConvergenceError.
     """
     if mode not in ("branch", "minimize"):
         raise ValueError(f"unknown relaxation mode {mode!r}")
@@ -228,11 +231,6 @@ def _grid_fit(norms, targets, divisors, param_of_dir, n_params, law, bounds, ste
     return best, errors, mse, excluded
 
 
-def _direction_norms(connectivity: Connectivity, fs: np.ndarray) -> np.ndarray:
-    v = connectivity.matrix
-    return np.linalg.norm(np.einsum("nij,aj->nai", np.asarray(fs, float), v), axis=-1)
-
-
 def fit_rest_lengths(
     fs: np.ndarray,
     targets: np.ndarray,
@@ -252,7 +250,7 @@ def fit_rest_lengths(
     parameter (horizontal = vertical and the two diagonals tied, for the
     square lattice); otherwise each direction gets its own.
     """
-    norms = _direction_norms(connectivity, fs)
+    norms = np.linalg.norm(mapped_directions(connectivity.matrix, fs), axis=-1)
     dir_norms = connectivity.norms()
     if tied:
         unique = sorted(set(np.round(dir_norms, 12)))
@@ -342,7 +340,7 @@ def fit_growth(
         raise ValueError("growth fitting is defined for recombination laws (p = 0)")
     names, param_of_dir, builders = _ansatz_params(dec, ansatz)
     connectivity = dec.lattice.connectivity
-    norms = _direction_norms(connectivity, fs)
+    norms = np.linalg.norm(mapped_directions(connectivity.matrix, fs), axis=-1)
     divisors = np.asarray(dec.lattice.rest)
     best, errors, mse, excluded = _grid_fit(
         norms, np.asarray(targets, float), divisors, param_of_dir, len(names), dec.lattice.law,
@@ -373,12 +371,31 @@ class ConvergenceRow:
     fit: FitResult
 
 
+# relative MSE changes below this are rounding, not growth
+_MSE_RTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ConvergenceStudy:
     rows: tuple[ConvergenceRow, ...]
-    drift: float           # max parameter change between the two largest N
-    mse_increased: bool    # mse grew from the second-largest to the largest N
     drift_tol: float
+
+    @property
+    def drift(self) -> float:
+        """Max parameter change between the two largest N."""
+        if len(self.rows) < 2:
+            return 0.0
+        a, b = self.rows[-2].fit, self.rows[-1].fit
+        return float(max(abs(a.parameters[k] - b.parameters[k]) for k in a.parameters))
+
+    @property
+    def mse_increased(self) -> bool:
+        """The MSE grew, by more than _MSE_RTOL relative, from the
+        second-largest to the largest N."""
+        if len(self.rows) < 2:
+            return False
+        a, b = self.rows[-2].fit.relative_mse, self.rows[-1].fit.relative_mse
+        return b > a * (1.0 + _MSE_RTOL)
 
     @property
     def converged(self) -> bool:
@@ -413,10 +430,4 @@ def convergence_study(
         dec = dec_for(n)
         fit = fit_growth(dec, fs, targets, ansatz)
         rows.append(ConvergenceRow(n, fit))
-    if len(rows) >= 2:
-        a, b = rows[-2].fit, rows[-1].fit
-        drift = max(abs(a.parameters[k] - b.parameters[k]) for k in a.parameters)
-        mse_increased = b.relative_mse > a.relative_mse
-    else:
-        drift, mse_increased = 0.0, False
-    return ConvergenceStudy(tuple(rows), float(drift), mse_increased, drift_tol)
+    return ConvergenceStudy(tuple(rows), drift_tol)

@@ -10,7 +10,7 @@ import numpy as np
 def _format_cell(x):
     if isinstance(x, (np.floating, float)):
         return repr(float(x))  # shortest round-trip decimal
-    if isinstance(x, (np.integer, int, bool)):
+    if isinstance(x, (np.integer, int, bool, np.bool_)):
         return str(int(x))
     return str(x)
 

@@ -6,16 +6,23 @@ pinned.  The reported per-cell energy counts one spring of each direction
 per unit cell (the springs excluded by that convention connect boundary
 nodes only, so minimisers are unaffected), which makes the per-cell value
 of a homogeneous sample agree with the Cauchy-Born density at every N.
+
+Both relaxation modes are Newton methods on the exact energy, gradient and
+interior Hessian, all three built from one call of the spring kernel
+(`springs.spring_terms`) per iterate.  `minimize` is a trust-region Newton
+method that may leave the affine branch; `relax_branch` takes step-capped
+Newton steps and stays on it.
 """
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .lattice import FiniteLatticeSample, build_sample, chain_connectivity
-from .springs import SpringLaw, profile_deriv, profile_energy
+from .springs import SpringLaw, per_length, profile_energy, spring_terms
 
 
 class ConvergenceError(RuntimeError):
@@ -37,11 +44,12 @@ class AffineBoundary:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    # convergence means max|grad| <= gtol_rel * (1 + |E|); tighter values hit
-    # the double-precision floor of f-based line searches once the total
-    # energy is large (df ~ |g|^2 falls below eps * |E|)
+    # convergence means max|grad| <= gtol_rel * (1 + |E|) over the interior
+    # degrees of freedom, in both relaxation modes
     gtol_rel: float = 1e-8
-    max_iter: int = 50_000
+    # trust-region iterations of `minimize`; `relax_branch` has its own fixed
+    # step limit (_BRANCH_MAX_STEPS) and ignores this
+    max_iter: int = 500
 
 
 @dataclass(frozen=True)
@@ -55,15 +63,67 @@ class SolveReport:
     message: str = ""
 
 
-def _edge_stretches(sample: FiniteLatticeSample, positions: np.ndarray):
+def _edge_terms(sample: FiniteLatticeSample, positions: np.ndarray, order: int):
+    """Edge vectors, their lengths and the spring kernel's terms up to `order`."""
     d = positions[sample.edges[:, 1]] - positions[sample.edges[:, 0]]
-    r = np.linalg.norm(d, axis=1)
-    return d, r, r / (sample.rest * sample.growth)
+    r, terms = spring_terms(sample.law, d, sample.rest * sample.growth, sample.growth**sample.law.p, order)
+    return d, r, terms
 
 
-def _edge_energies(sample: FiniteLatticeSample, positions: np.ndarray) -> np.ndarray:
-    _, _, t = _edge_stretches(sample, positions)
-    return sample.growth**sample.law.p * profile_energy(sample.law, t)
+class _Iterate:
+    """Energy, gradient and interior Hessian of a sample at one set of node
+    positions, all from one call of the spring kernel.  The Hessian is
+    assembled on first use."""
+
+    def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray, interior: np.ndarray):
+        self.sample, self.positions, self.interior = sample, positions, interior
+        self._springs = d, r, (self.edge_energies, slope, _) = _edge_terms(sample, positions, 2)
+        self.energy = float(np.sum(self.edge_energies))
+        force = per_length(slope, r)[:, None] * d  # contribution along each edge
+        m = sample.n_nodes
+        self.gradient = np.stack([
+            np.bincount(sample.edges[:, 1], weights=force[:, axis], minlength=m)
+            - np.bincount(sample.edges[:, 0], weights=force[:, axis], minlength=m)
+            for axis in range(sample.dimension)
+        ], axis=1)
+        self.x = positions[interior].ravel()
+        self.grad = self.gradient[interior].ravel()
+        self.grad_norm = float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
+
+    @cached_property
+    def hessian(self):
+        """Sparse Hessian in the interior coordinates (node-major).  Per edge,
+        the DxD block of the spring energy in the edge vector d is
+        (E' / r) I + (E'' - E' / r) d d^T / r^2, with E', E'' the kernel's
+        derivatives in r."""
+        import scipy.sparse as sp
+
+        sample, dim = self.sample, self.sample.dimension
+        d, r, (_, slope, curvature) = self._springs
+        tension = per_length(slope, r)
+        block = (per_length(curvature - tension, r * r)[:, None, None] * d[:, :, None] * d[:, None, :]
+                 + tension[:, None, None] * np.eye(dim))
+
+        index = -np.ones(sample.n_nodes, dtype=np.int64)
+        index[self.interior] = np.arange(self.x.size // dim)
+        ends = index[sample.edges]  # interior index of each edge's tail and head; -1 if pinned
+        # the four DxD blocks of an edge: (tail, tail), (head, head), (tail, head), (head, tail)
+        i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
+        edge, which = np.nonzero((i >= 0) & (j >= 0))
+        u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        rows = (dim * i[edge, which][:, None, None] + u).ravel()
+        cols = (dim * j[edge, which][:, None, None] + v).ravel()
+        vals = (block[edge] * np.array([1.0, 1.0, -1.0, -1.0])[which, None, None]).ravel()
+        m = self.x.size
+        return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+    def moved(self, x: np.ndarray) -> "_Iterate":
+        positions = self.positions.copy()
+        positions[self.interior] = x.reshape(-1, self.sample.dimension)
+        return _Iterate(self.sample, positions, self.interior)
+
+    def converged(self, opts: SolverOptions) -> bool:
+        return self.grad_norm <= opts.gtol_rel * (1.0 + abs(self.energy))
 
 
 def total_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
@@ -71,31 +131,60 @@ def total_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
     positions = np.asarray(positions, dtype=float)
     if positions.shape != (sample.n_nodes, sample.dimension):
         raise ValueError(f"positions must have shape {(sample.n_nodes, sample.dimension)}")
-    return float(np.sum(_edge_energies(sample, positions)))
+    return float(np.sum(_edge_terms(sample, positions, 0)[2][0]))
 
 
 def owned_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
     """Energy of the cell-owned springs (per-cell numerator)."""
-    return float(np.sum(_edge_energies(sample, positions)[sample.owned]))
+    return float(np.sum(_edge_terms(sample, positions, 0)[2][0][sample.owned]))
 
 
 def energy_and_gradient(sample: FiniteLatticeSample, positions: np.ndarray):
     """Total energy and its gradient with respect to all node positions."""
-    positions = np.asarray(positions, dtype=float)
-    d, r, t = _edge_stretches(sample, positions)
-    law = sample.law
-    scale = sample.rest * sample.growth
-    energy = float(np.sum(sample.growth**law.p * profile_energy(law, t)))
-    w = sample.growth**law.p * profile_deriv(law, t) / scale
-    safe = np.where(r > 0, r, 1.0)
-    coeff = np.where(r > 0, w / safe, 0.0)
-    force = coeff[:, None] * d  # contribution along each edge
-    grad = np.zeros_like(positions)
-    m = sample.n_nodes
-    for axis in range(sample.dimension):
-        grad[:, axis] += np.bincount(sample.edges[:, 1], weights=force[:, axis], minlength=m)
-        grad[:, axis] -= np.bincount(sample.edges[:, 0], weights=force[:, axis], minlength=m)
-    return energy, grad
+    it = _Iterate(sample, np.asarray(positions, dtype=float), ~sample.boundary_mask())
+    return it.energy, it.gradient
+
+
+def _affine_start(sample: FiniteLatticeSample, boundary: AffineBoundary) -> _Iterate:
+    if sample.dimension > 2:
+        raise ValueError("relaxation supports dimensions 1 and 2")
+    f = np.asarray(boundary.f, dtype=float)
+    if f.shape != (sample.dimension, sample.dimension):
+        raise ValueError("boundary gradient shape must match the sample dimension")
+    return _Iterate(sample, sample.affine_positions(f), ~sample.boundary_mask())
+
+
+def _report(it: _Iterate, iterations: int, opts: SolverOptions, reason: str) -> SolveReport:
+    sample = it.sample
+    converged = it.converged(opts)
+    tol = opts.gtol_rel * (1.0 + abs(it.energy))
+    message = "" if converged else f"stopped with |grad| = {it.grad_norm:.3e} > {tol:.3e}: {reason}"
+    return SolveReport(
+        per_cell_energy=float(np.sum(it.edge_energies[sample.owned])) / sample.n**sample.dimension,
+        total_energy=it.energy,
+        positions=it.positions,
+        iterations=iterations,
+        grad_norm=it.grad_norm,
+        converged=converged,
+        message=message,
+    )
+
+
+class _Iterates:
+    """The iterates of one trust-region solve, looked up by their interior
+    coordinates.  The optimiser evaluates each trial point before it accepts
+    or rejects it, so both the current iterate and the latest trial are kept
+    and neither is computed twice."""
+
+    def __init__(self, start: _Iterate):
+        self.current = self.latest = start
+
+    def at(self, x: np.ndarray) -> _Iterate:
+        for it in (self.current, self.latest):
+            if np.array_equal(it.x, x):
+                return it
+        self.latest = self.current.moved(x)
+        return self.latest
 
 
 def minimize(
@@ -103,191 +192,87 @@ def minimize(
     boundary: AffineBoundary,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Relax interior nodes under pinned affine boundary data.
+    """Relax interior nodes under pinned affine boundary data to a local
+    minimum of the energy.
 
-    Limited-memory quasi-Newton descent from the affine start.  Convergence
-    means the infinity norm of the interior gradient is at or below
-    gtol_rel * (1 + |E|); anything else is reported, never silent.
+    Trust-region Newton from the affine start (scipy's trust-krylov; Nocedal
+    & Wright, ch. 7) on the exact gradient and Hessian.  Its subproblem
+    follows negative curvature, so under strong compression the solve leaves
+    the unbuckled branch for a folded minimum.  At most opts.max_iter
+    trust-region iterations.  Convergence means the infinity norm of the
+    interior gradient is at or below gtol_rel * (1 + |E|); anything else is
+    reported, never silent.
     """
     from scipy.optimize import minimize as scipy_minimize
 
-    if sample.dimension > 2:
-        raise ValueError("minimisation supports dimensions 1 and 2")
     opts = opts or SolverOptions()
-    f = np.asarray(boundary.f, dtype=float)
-    if f.shape != (sample.dimension, sample.dimension):
-        raise ValueError("boundary gradient shape must match the sample dimension")
+    iterates = _Iterates(_affine_start(sample, boundary))
+    iterations, reason = 0, ""
+    if not iterates.current.converged(opts):
 
-    positions = sample.affine_positions(f)
-    interior = ~sample.boundary_mask()
-    pinned = positions[~interior].copy()
+        def stop_when_converged(intermediate_result):
+            iterates.current = iterates.at(intermediate_result.x)
+            if iterates.current.converged(opts):
+                raise StopIteration
 
-    def assemble(x):
-        pos = positions.copy()
-        pos[interior] = x.reshape(-1, sample.dimension)
-        pos[~interior] = pinned
-        return pos
-
-    def fun(x):
-        e, g = energy_and_gradient(sample, assemble(x))
-        return e, g[interior].ravel()
-
-    x0 = positions[interior].ravel()
-    if x0.size == 0:  # every node pinned (N = 2 in 1-D leaves one interior node, but guard anyway)
-        e = total_energy(sample, positions)
-        return SolveReport(
-            owned_energy(sample, positions) / sample.n**sample.dimension,
-            e, positions, 0, 0.0, True, "no interior nodes",
-        )
-
-    e_run, _ = fun(x0)
-    x = x0
-    iterations = 0
-    # the tolerance tracks the current energy, which drops as the sample
-    # relaxes; rerun (with fresh curvature memory) until self-consistent
-    for _ in range(4):
-        tol_run = opts.gtol_rel * (1.0 + abs(e_run))
         res = scipy_minimize(
-            fun,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": opts.max_iter,
-                "maxfun": 2 * opts.max_iter,
-                "ftol": 1e-18,
-                "gtol": tol_run,
-                "maxcor": 20,
-            },
+            lambda x: iterates.at(x).energy,
+            iterates.current.x,
+            method="trust-krylov",
+            jac=lambda x: iterates.at(x).grad,
+            hessp=lambda x, v: iterates.at(x).hessian @ v,
+            callback=stop_when_converged,
+            # the callback applies the relative tolerance; scipy's own test
+            # is on the 2-norm and would stop early or late
+            options={"maxiter": opts.max_iter, "gtol": 0.0},
         )
-        iterations += int(res.nit)
-        x, e_run = res.x, float(res.fun)
-        if np.max(np.abs(res.jac)) <= opts.gtol_rel * (1.0 + abs(e_run)):
-            break
-    final = assemble(x)
-    e_final, g_final = energy_and_gradient(sample, final)
-    gnorm = float(np.max(np.abs(g_final[interior]))) if interior.any() else 0.0
-    tol_final = opts.gtol_rel * (1.0 + abs(e_final))
-    converged = gnorm <= tol_final
-    message = "" if converged else f"stopped with |grad| = {gnorm:.3e} > {tol_final:.3e}: {res.message}"
-    return SolveReport(
-        per_cell_energy=owned_energy(sample, final) / sample.n**sample.dimension,
-        total_energy=e_final,
-        positions=final,
-        iterations=iterations,
-        grad_norm=gnorm,
-        converged=converged,
-        message=message,
-    )
+        iterates.current = iterates.at(res.x)
+        iterations, reason = int(res.nit), res.message
+    return _report(iterates.current, iterations, opts, reason)
 
 
 # ---------------------------------------------------------------------------
 # Branch relaxation (Newton continuation from the affine state)
 
-
-def _interior_hessian(sample: FiniteLatticeSample, positions: np.ndarray, interior: np.ndarray):
-    """Sparse Hessian of the total energy restricted to interior nodes.
-
-    Per edge, the 2x2 block of W(||d|| / s) in d is
-    (W''/s^2) P + (W'/(s r)) (I - P) with P the outer product of the unit
-    edge vector.
-    """
-    import scipy.sparse as sp
-
-    law = sample.law
-    if law.profile is not None:
-        raise ValueError("branch relaxation requires the power-law profile")
-    q = law.q
-    d = positions[sample.edges[:, 1]] - positions[sample.edges[:, 0]]
-    r = np.linalg.norm(d, axis=1)
-    scale = sample.rest * sample.growth
-    t = r / scale
-    weight = sample.growth**law.p
-    w2 = weight * q * (q - 1) * np.abs(t - 1.0) ** (q - 2)
-    w1 = weight * q * np.abs(t - 1.0) ** (q - 1) * np.sign(t - 1.0)
-    dhat = d / r[:, None]
-    proj = dhat[:, :, None] * dhat[:, None, :]
-    eye = np.eye(sample.dimension)[None]
-    block = (w2 / scale**2)[:, None, None] * proj + (w1 / (scale * r))[:, None, None] * (eye - proj)
-
-    idx_of = -np.ones(sample.n_nodes, dtype=np.int64)
-    idx_of[np.nonzero(interior)[0]] = np.arange(int(interior.sum()))
-    bi = idx_of[sample.edges[:, 0]]
-    bj = idx_of[sample.edges[:, 1]]
-    dim = sample.dimension
-    rows, cols, vals = [], [], []
-    for a, b, sgn in ((bi, bi, 1.0), (bj, bj, 1.0), (bi, bj, -1.0), (bj, bi, -1.0)):
-        ok = (a >= 0) & (b >= 0)
-        for u in range(dim):
-            for v in range(dim):
-                rows.append(dim * a[ok] + u)
-                cols.append(dim * b[ok] + v)
-                vals.append(sgn * block[ok, u, v])
-    m = dim * int(interior.sum())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
+# The bench fingerprints pin which branch solves fail, so these stay fixed.
+_BRANCH_MAX_STEPS = 60     # Newton steps before a branch solve gives up
+_BRANCH_STEP_CAP = 0.25    # largest nodal displacement of one step
 
 
 def relax_branch(
     sample: FiniteLatticeSample,
     boundary: AffineBoundary,
     opts: SolverOptions | None = None,
-    *,
-    max_newton: int = 60,
-    step_cap: float = 0.25,
 ) -> SolveReport:
-    """Equilibrium on the unbuckled branch: damped Newton from the affine
-    state, converging to the nearby stationary point whether or not it is
-    stable.
+    """Equilibrium on the unbuckled branch: Newton from the affine state,
+    each step a sparse direct solve with the exact interior Hessian and
+    capped at a nodal displacement of 0.25, converging to the nearby
+    stationary point whether or not it is stable.
 
-    Under strong compression the energy also has folded minima far from the
-    affine state; gradient descent falls into them, while the homogenised
-    Cauchy-Born form can only describe the unfolded branch.  Where the
-    affine-adjacent equilibrium is a stable minimum this returns exactly the
-    same state as `minimize`.
+    At most 60 Newton steps; opts.max_iter does not apply.  Under strong
+    compression the energy also has folded minima far from the affine
+    state; `minimize` may fall into them, while the homogenised Cauchy-Born
+    form can only describe the unfolded branch.  Where the affine-adjacent
+    equilibrium is a stable minimum this returns the same state as
+    `minimize`.
     """
     from scipy.sparse.linalg import spsolve
 
-    if sample.dimension > 2:
-        raise ValueError("branch relaxation supports dimensions 1 and 2")
     opts = opts or SolverOptions()
-    f = np.asarray(boundary.f, dtype=float)
-    positions = sample.affine_positions(f)
-    interior = ~sample.boundary_mask()
-
-    e, g_full = energy_and_gradient(sample, positions)
-    gnorm = float(np.max(np.abs(g_full[interior]))) if interior.any() else 0.0
+    it = _affine_start(sample, boundary)
     steps = 0
-    message = ""
-    while gnorm > opts.gtol_rel * (1.0 + abs(e)) and steps < max_newton:
-        h = _interior_hessian(sample, positions, interior)
-        delta = spsolve(h.tocsc(), -g_full[interior].ravel())
+    reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
+    while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
+        delta = spsolve(it.hessian.tocsc(), -it.grad)
         if not np.all(np.isfinite(delta)):
-            message = "singular Hessian on the affine branch"
+            reason = "singular Hessian on the affine branch"
             break
         biggest = float(np.max(np.abs(delta)))
-        if biggest > step_cap:
-            delta *= step_cap / biggest
-        positions = positions.copy()
-        positions[interior] += delta.reshape(-1, sample.dimension)
-        e, g_full = energy_and_gradient(sample, positions)
-        gnorm = float(np.max(np.abs(g_full[interior]))) if interior.any() else 0.0
+        if biggest > _BRANCH_STEP_CAP:
+            delta *= _BRANCH_STEP_CAP / biggest
+        it = it.moved(it.x + delta)
         steps += 1
-
-    tol_final = opts.gtol_rel * (1.0 + abs(e))
-    converged = gnorm <= tol_final
-    if not converged and not message:
-        message = f"Newton stopped with |grad| = {gnorm:.3e} > {tol_final:.3e}"
-    return SolveReport(
-        per_cell_energy=owned_energy(sample, positions) / sample.n**sample.dimension,
-        total_energy=e,
-        positions=positions,
-        iterations=steps,
-        grad_norm=gnorm,
-        converged=converged,
-        message=message,
-    )
+    return _report(it, steps, opts, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -90,23 +90,28 @@ def growable_energy(law: SpringLaw, rest, current):
     return rest**law.p * profile_energy(law, current / rest)
 
 
-@dataclass(frozen=True)
-class GrownDensity:
-    """Energy density of a spring after growing by factor g:
-    x -> g**p * W(x / g)."""
+def spring_terms(law: SpringLaw, vectors, scale, weight, order: int = 0):
+    """The spring kernel: lengths r = ||vectors|| over the last axis, and
 
-    law: SpringLaw
-    g: float
+        weight * W^(k)(r / scale) / scale**k    for k = 0, ..., order.
 
-    def __call__(self, x):
-        return self.g**self.law.p * profile_energy(self.law, np.asarray(x, dtype=float) / self.g)
+    With scale = L g (the grown rest length) and weight = g**p these are the
+    energy g**p W(r / (L g)) of a grown spring and its first and second
+    derivatives in r.  W^(k) comes from `law.stretch_profile`, so custom
+    profiles work wherever the kernel is used.  Returns (r, [terms]).
+    """
+    r = np.linalg.norm(vectors, axis=-1)
+    x = r / scale
+    profile = law.stretch_profile
+    terms = [weight * profile.value(x)]
+    if order >= 1:
+        terms.append(weight * profile.deriv(x) / scale)
+    if order >= 2:
+        terms.append(weight * profile.second(x) / scale**2)
+    return r, terms
 
-    def deriv(self, x):
-        return self.g ** (self.law.p - 1) * profile_deriv(self.law, np.asarray(x, dtype=float) / self.g)
 
-
-def grown_density(law: SpringLaw, g: float) -> GrownDensity:
-    """Density of the grown spring: evaluating at x gives g**p * W(x / g)."""
-    if g <= 0:
-        raise ValueError("growth factor must be positive")
-    return GrownDensity(law, float(g))
+def per_length(values, r):
+    """values / r, with 0 where r = 0: a collapsed spring has no direction,
+    so it exerts no force along one."""
+    return np.where(r > 0, values / np.where(r > 0, r, 1.0), 0.0)

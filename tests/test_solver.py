@@ -21,6 +21,7 @@ from growlat.continuum import cauchy_born_energy
 from growlat.solver import (
     AffineBoundary,
     SolverOptions,
+    _Iterate,
     constant_growth,
     energy_and_gradient,
     linear_growth,
@@ -29,11 +30,36 @@ from growlat.solver import (
     one_d_chain_energy,
     one_d_continuum_energy,
     owned_energy,
+    relax_branch,
     total_energy,
 )
 
 REST = (1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0))
 LAW = SpringLaw(2, 0.0)
+
+
+class Quartic:
+    """Custom stretch profile (x - 1)**4, outside the power-law family."""
+
+    def value(self, x):
+        return (np.asarray(x) - 1.0) ** 4
+
+    def deriv(self, x):
+        return 4.0 * (np.asarray(x) - 1.0) ** 3
+
+    def second(self, x):
+        return 12.0 * (np.asarray(x) - 1.0) ** 2
+
+
+def interior_hessian(sample, positions):
+    return _Iterate(sample, positions, ~sample.boundary_mask()).hessian.toarray()
+
+
+def folded_datum():
+    """sim2-type growth at N = 6 under dilation by 1/1.5: the affine branch is
+    unstable there and the energy has folded minima."""
+    s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=0), LAW)
+    return s, AffineBoundary(np.eye(2) / 1.5)
 
 
 def oracle_total_energy(sample, positions):
@@ -238,3 +264,71 @@ class TestOneDimensional:
         cont = one_d_continuum_energy(prof, law, 1.0, 1.8)
         chain = one_d_chain_energy(prof, 256, 1.0, law, 1.8)
         assert chain == pytest.approx(cont, rel=5e-3)
+
+
+class TestHessian:
+    @pytest.mark.parametrize(
+        "law", [SpringLaw(2, 0.0), SpringLaw(3, 0.0), SpringLaw(2, 1.0), SpringLaw(profile=Quartic())],
+        ids=["q2p0", "q3p0", "q2p1", "quartic"],
+    )
+    def test_matches_central_differences_of_gradient(self, law):
+        s = build_sample(square_connectivity(), 3, REST, uniform_growth(((0.9, 1.1),) * 4, seed=3), law)
+        rng = np.random.default_rng(5)
+        pos = s.affine_positions(np.eye(2)) + 0.1 * rng.standard_normal((s.n_nodes, 2))
+        interior = ~s.boundary_mask()
+        h = interior_hessian(s, pos)
+        step = 1e-6
+        fd = np.empty_like(h)
+        for col, (node, axis) in enumerate((i, a) for i in np.nonzero(interior)[0] for a in range(2)):
+            pp, pm = pos.copy(), pos.copy()
+            pp[node, axis] += step
+            pm[node, axis] -= step
+            fd[:, col] = (energy_and_gradient(s, pp)[1][interior].ravel()
+                          - energy_and_gradient(s, pm)[1][interior].ravel()) / (2 * step)
+        assert np.allclose(h, h.T, rtol=0.0, atol=1e-12)
+        assert np.allclose(h, fd, rtol=1e-6, atol=1e-7)
+
+
+class TestRelaxBranch:
+    def test_matches_minimize_on_a_stable_datum(self):
+        s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=5), LAW)
+        f = np.array([[1.1, 0.1], [0.0, 1.05]])
+        branch = relax_branch(s, AffineBoundary(f))
+        descent = minimize(s, AffineBoundary(f))
+        assert branch.converged and descent.converged
+        assert branch.per_cell_energy == pytest.approx(descent.per_cell_energy, rel=1e-9)
+        assert np.allclose(branch.positions, descent.positions, atol=1e-6)
+
+    def test_boundary_rows_pinned_bitwise(self):
+        s = build_sample(square_connectivity(), 4, REST, checkerboard_growth(1.2), LAW)
+        f = np.array([[1.05, 0.1], [0.0, 0.95]])
+        report = relax_branch(s, AffineBoundary(f))
+        boundary = s.boundary_mask()
+        assert report.converged
+        assert np.array_equal(report.positions[boundary], s.affine_positions(f)[boundary])
+
+    def test_custom_profile(self):
+        law = SpringLaw(profile=Quartic())
+        s = build_sample(square_connectivity(), 4, REST, uniform_growth(((0.8, 1.2),) * 4, seed=2), law)
+        f = 1.1 * np.eye(2)
+        branch = relax_branch(s, AffineBoundary(f))
+        assert branch.converged
+        assert branch.per_cell_energy == pytest.approx(minimize(s, AffineBoundary(f)).per_cell_energy, rel=1e-8)
+
+    def test_running_out_of_steps_is_reported(self):
+        s, boundary = folded_datum()
+        report = relax_branch(s, boundary)
+        assert not report.converged
+        assert report.iterations == 60
+        assert "Newton steps" in report.message
+
+
+class TestFoldedMinimize:
+    def test_reaches_a_stable_folded_minimum(self):
+        s, boundary = folded_datum()
+        report = minimize(s, boundary)
+        assert report.converged
+        affine = owned_energy(s, s.affine_positions(boundary.f)) / s.n**2
+        assert report.per_cell_energy <= affine
+        h = interior_hessian(s, report.positions)
+        assert np.linalg.eigvalsh(h)[0] >= -1e-8 * np.max(np.abs(np.diag(h)))

@@ -56,19 +56,6 @@ def test_growable_energy_domain_errors():
         springs.growable_energy(law, 1.0, -0.5)
 
 
-def test_grown_density_identity_and_rest():
-    law = springs.SpringLaw(q=2, p=0.0)
-    assert springs.grown_density(law, 1.0)(1.2) == pytest.approx(0.04, rel=1e-12)
-    assert springs.grown_density(law, 2.0)(2.0) == 0.0
-
-
-def test_grown_density_replication():
-    law = springs.SpringLaw(q=2, p=1.0)
-    assert springs.grown_density(law, 2.0)(2.2) == pytest.approx(0.02, rel=1e-12)
-    with pytest.raises(ValueError):
-        springs.grown_density(law, 0.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     eta=st.floats(0.05, 20.0),
