@@ -41,11 +41,16 @@ def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,aj->...ai", np.asarray(fs, dtype=float), np.asarray(directions, dtype=float))
 
 
-def _cauchy_born_terms(lattice: HomogeneousLattice, fs: np.ndarray, order: int):
+def mapped_lengths(directions, fs: np.ndarray) -> np.ndarray:
+    """Lengths ||F v|| of the mapped directions; shape (..., n_dirs).  The
+    images themselves are freed before this returns."""
+    return np.linalg.norm(mapped_directions(directions, fs), axis=-1)
+
+
+def _cauchy_born_terms(lattice: HomogeneousLattice, lengths: np.ndarray, order: int):
     rest = np.asarray(lattice.rest)
     growth = np.asarray(lattice.growth)
-    mapped = mapped_directions(lattice.connectivity.matrix, fs)
-    return mapped, *spring_terms(lattice.law, mapped, rest * growth, growth**lattice.law.p, order)
+    return spring_terms(lattice.law, lengths, rest * growth, growth**lattice.law.p, order)
 
 
 def cauchy_born_energy(lattice: HomogeneousLattice, f: np.ndarray) -> float:
@@ -55,13 +60,15 @@ def cauchy_born_energy(lattice: HomogeneousLattice, f: np.ndarray) -> float:
 
 def cauchy_born_energy_many(lattice: HomogeneousLattice, fs: np.ndarray) -> np.ndarray:
     """Vectorised Cauchy-Born energy over a stack of deformation gradients."""
-    _, _, (terms,) = _cauchy_born_terms(lattice, fs, 0)
+    (terms,) = _cauchy_born_terms(lattice, mapped_lengths(lattice.connectivity.matrix, fs), 0)
     return np.sum(terms, axis=-1)
 
 
 def cauchy_born_gradient(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarray:
     """d/dF of the Cauchy-Born energy; same shape as F."""
-    mapped, norms, (_, slope) = _cauchy_born_terms(lattice, f, 1)
+    mapped = mapped_directions(lattice.connectivity.matrix, f)
+    norms = np.linalg.norm(mapped, axis=-1)
+    _, slope = _cauchy_born_terms(lattice, norms, 1)
     return np.einsum("a,ai,aj->ij", per_length(slope, norms), mapped, lattice.connectivity.matrix)
 
 
@@ -204,7 +211,7 @@ class Decomposition:
         dirs = lat.connectivity.directions
         part = self.parts[k].directions
         rest = np.asarray([lat.rest[dirs.index(v)] for v in part])
-        _, (terms,) = spring_terms(lat.law, mapped_directions(part, fs), rest, 1.0)
+        (terms,) = spring_terms(lat.law, mapped_lengths(part, fs), rest, 1.0)
         return np.sum(terms, axis=-1)
 
     def initial_energy(self, f: np.ndarray) -> float:

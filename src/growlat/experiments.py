@@ -93,6 +93,7 @@ def _fit_summary(fit):
         "relative_mse_sum": fit.mse_sum,
         "max_fractional_error": fit.max_abs_error,
         "n_used": fit.n_used,
+        "jacobian_rank": fit.rank,
         "excluded_samples": list(fit.excluded),
         "growth_tensors": fit.groups if fit.groups and "G_1" in fit.groups else None,
     }
@@ -206,6 +207,7 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
             "ns": ns,
             "drift": study.drift,
             "mse_increased": study.mse_increased,
+            "converged": study.converged,
             "rows": [{"n": r.n, **_fit_summary(r.fit)} for r in study.rows],
         }
 

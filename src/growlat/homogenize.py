@@ -5,21 +5,26 @@ boundary deformations.  Fits minimise the relative mean square error
 
     mean over samples of ((E_target - E_model) / E_target)**2,
 
-with zero-energy targets excluded.  The search is a deterministic
-coarse-to-fine grid scan (reported values carry 3-4 decimals, and grid
-search is derivative-free and bit-reproducible), refined so that each
-finer grid contains the previous best point.
+with zero-energy targets excluded, by bounded trust-region least squares
+(scipy's `least_squares`; Moré, 1978) with a closed-form Jacobian.  Every
+step is deterministic, so results are reproducible from (config, seed).
+Each result carries the rank of the Jacobian at the optimum; below the
+number of parameters, the optimum is a set of equally good points and the
+one reported is arbitrary.  sim1's q = 2 dilational fit is an example: under
+lambda I the energy is a quadratic in lambda, and its two coefficients
+cannot fix three parameters.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import Decomposition, mapped_directions, rotation
+from .continuum import Decomposition, mapped_lengths, rotation
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, minimize, relax_branch
-from .springs import SpringLaw, profile_energy
+from .springs import SpringLaw, profile_deriv, profile_energy
 
 _FAMILY_KINDS = ("horizontal", "vertical", "dilational", "shear", "box-grid")
 
@@ -121,14 +126,14 @@ class GrowthAnsatz:
 
     Forms: "isotropic" (gamma * I, any class), "diagonal" (diag(a, b), class
     of axis directions), "rotated-diagonal" (eigenvectors along the two
-    diagonals, class {(1,1), (1,-1)}).
+    diagonals, class {(1,1), (1,-1)}).  Every parameter is fitted within
+    `bounds`; the fit starts from each of the 2**P corners of the box at the
+    quarter marks of `bounds` and keeps the start that ends lowest.
     """
 
     g1_form: str = "isotropic"
     g2_form: str = "isotropic"
     bounds: tuple[float, float] = (0.5, 1.5)
-    step: float = 0.01
-    refinements: int = 2
 
     def __post_init__(self):
         for form in (self.g1_form, self.g2_form):
@@ -136,8 +141,6 @@ class GrowthAnsatz:
                 raise ValueError(f"unknown ansatz form {form!r}")
         if not 0 < self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must be positive and increasing")
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,8 @@ class FitResult:
     """Fitted parameters with per-sample fractional errors.
 
     relative_mse is the mean of squared fractional errors over the used
-    samples; `errors` holds nan at excluded (zero-target) samples.
+    samples; `errors` holds nan at excluded (zero-target) samples.  `rank`
+    is the numerical rank of the residual Jacobian at the optimum.
     """
 
     parameters: dict
@@ -154,6 +158,7 @@ class FitResult:
     max_abs_error: float
     n_used: int
     excluded: tuple[int, ...]
+    rank: int
     groups: dict | None = None
 
     @property
@@ -161,74 +166,58 @@ class FitResult:
         """Sum (not mean) of squared fractional errors over used samples."""
         return self.relative_mse * self.n_used
 
-    def recomputed_mse(self) -> float:
-        used = self.errors[np.isfinite(self.errors)]
-        return float(np.mean(used**2)) if used.size else float("nan")
 
+def _relative_residuals(lengths, t, divisors, param_of_dir, n_params, law):
+    """Residuals (t - model) / t of targets t and their Jacobian in x, as two
+    functions of x.
 
-def _grid_values(lo: float, hi: float, step: float) -> np.ndarray:
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
-
-
-def _scan(norms, targets, divisors, param_of_dir, grids, law):
-    """Return the grid point minimising the relative squared error.
-
-    norms: (S, A) direction norms per sample; divisors: (A,) fixed part of
-    the denominator; param_of_dir: (A,) index of the parameter scaling each
-    direction; grids: per-parameter 1-D candidate arrays.
+    The model energy of sample i is sum_a W(s_ia) with s_ia = lengths[i, a] /
+    (divisors[a] x[param_of_dir[a]]), so the Jacobian is
+    sum_{a: p(a) = p} W'(s_a) s_a / (x_p t).
     """
-    used = targets != 0.0
-    t_used = targets[used]
-    n_used = norms[used]
-    n_params = len(grids)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    cand = np.stack([m.ravel() for m in mesh], axis=1)  # (C, P)
-    best_idx, best_val = 0, np.inf
-    chunk = max(1, int(5e6 / max(1, len(t_used))))
-    for start in range(0, len(cand), chunk):
-        block = cand[start : start + chunk]  # (c, P)
-        model = np.zeros((len(block), len(t_used)))
-        for a in range(norms.shape[1]):
-            scale = divisors[a] * block[:, param_of_dir[a]]
-            model += profile_energy(law, n_used[None, :, a] / scale[:, None])
-        err = (t_used[None, :] - model) / t_used[None, :]
-        obj = np.einsum("cs,cs->c", err, err)
-        i = int(np.argmin(obj))
-        if obj[i] < best_val:
-            best_val = float(obj[i])
-            best_idx = start + i
-    return cand[best_idx], best_val
+    base = lengths / divisors  # s = base / x[param_of_dir]
+    owner = (param_of_dir[:, None] == np.arange(n_params)).astype(float)  # direction -> parameter
+
+    def residuals(x):
+        return (t - np.sum(profile_energy(law, base / x[param_of_dir]), axis=1)) / t
+
+    def jacobian(x):
+        s = base / x[param_of_dir]
+        return (profile_deriv(law, s) * s / t[:, None]) @ owner / x
+
+    return residuals, jacobian
 
 
-def _grid_fit(norms, targets, divisors, param_of_dir, n_params, law, bounds, step, refinements):
+def _fit(lengths, targets, divisors, param_of_dir, names, law, bounds, groups) -> FitResult:
+    """Least-squares fit of the per-direction scale parameters x to the
+    nonzero targets; `groups(x)` gives the result's groups."""
+    from scipy.optimize import least_squares
+
     targets = np.asarray(targets, dtype=float)
-    excluded = tuple(int(i) for i in np.nonzero(targets == 0.0)[0])
-    if len(excluded) == len(targets):
-        raise ValueError("all target energies are zero; the relative objective is degenerate")
-
-    grids = [_grid_values(bounds[0], bounds[1], step)] * n_params
-    best, _ = _scan(norms, targets, divisors, param_of_dir, grids, law)
-    width, fine = step, step
-    for _ in range(refinements):
-        fine = fine / 5.0 if fine == step else fine / 4.0
-        grids = [
-            np.clip(b + fine * np.arange(-int(round(width / fine)), int(round(width / fine)) + 1), 1e-9, None)
-            for b in best
-        ]
-        best, _ = _scan(norms, targets, divisors, param_of_dir, grids, law)
-        width = fine
-
     used = targets != 0.0
-    model = np.zeros(int(used.sum()))
-    for a in range(norms.shape[1]):
-        scale = divisors[a] * best[param_of_dir[a]]
-        model += profile_energy(law, norms[used, a] / scale)
+    if not used.any():
+        raise ValueError("all target energies are zero; the relative objective is degenerate")
+    residuals, jacobian = _relative_residuals(lengths[used], targets[used], divisors, param_of_dir, len(names), law)
+
+    lo, hi = bounds
+    best = None
+    for start in itertools.product((lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)), repeat=len(names)):
+        res = least_squares(residuals, start, jac=jacobian, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if best is None or res.cost < best.cost:
+            best = res
+    x = best.x
     errors = np.full(len(targets), np.nan)
-    errors[used] = (targets[used] - model) / targets[used]
-    finite = errors[used]
-    mse = float(np.mean(finite**2))
-    return best, errors, mse, excluded
+    errors[used] = residuals(x)
+    return FitResult(
+        {name: float(v) for name, v in zip(names, x)},
+        float(np.mean(errors[used] ** 2)),
+        errors,
+        float(np.max(np.abs(errors[used]))),
+        int(used.sum()),
+        tuple(int(i) for i in np.nonzero(~used)[0]),
+        int(np.linalg.matrix_rank(jacobian(x))),
+        groups(x),
+    )
 
 
 def fit_rest_lengths(
@@ -239,8 +228,6 @@ def fit_rest_lengths(
     *,
     tied: bool = True,
     bounds: tuple[float, float] = (0.5, 1.5),
-    step: float = 0.01,
-    refinements: int = 2,
 ) -> FitResult:
     """Optimal homogenised rest lengths for measured energies.
 
@@ -250,7 +237,6 @@ def fit_rest_lengths(
     parameter (horizontal = vertical and the two diagonals tied, for the
     square lattice); otherwise each direction gets its own.
     """
-    norms = np.linalg.norm(mapped_directions(connectivity.matrix, fs), axis=-1)
     dir_norms = connectivity.norms()
     if tied:
         unique = sorted(set(np.round(dir_norms, 12)))
@@ -264,14 +250,13 @@ def fit_rest_lengths(
         param_of_dir = np.arange(len(dir_norms))
         names = [f"ell_{'_'.join(str(c) for c in v)}" for v in connectivity.directions]
         groups = {names[k]: (connectivity.directions[k],) for k in range(len(dir_norms))}
-    best, errors, mse, excluded = _grid_fit(
-        norms, targets, dir_norms, param_of_dir, len(names), law, bounds, step, refinements
-    )
-    params = {name: float(val) for name, val in zip(names, best)}
-    for k, v in enumerate(connectivity.directions):
-        params[f"L_{'_'.join(str(c) for c in v)}"] = float(best[param_of_dir[k]] * dir_norms[k])
-    finite = errors[np.isfinite(errors)]
-    return FitResult(params, mse, errors, float(np.max(np.abs(finite))), int(np.isfinite(errors).sum()), excluded, groups)
+    fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law, bounds,
+               lambda x: groups)
+    fit.parameters.update({
+        f"L_{'_'.join(str(c) for c in v)}": float(fit.parameters[names[param_of_dir[k]]] * dir_norms[k])
+        for k, v in enumerate(connectivity.directions)
+    })
+    return fit
 
 
 def fitted_representative(fit: FitResult, connectivity: Connectivity, law: SpringLaw) -> HomogeneousLattice:
@@ -339,18 +324,9 @@ def fit_growth(
     if dec.lattice.law.p != 0:
         raise ValueError("growth fitting is defined for recombination laws (p = 0)")
     names, param_of_dir, builders = _ansatz_params(dec, ansatz)
-    connectivity = dec.lattice.connectivity
-    norms = np.linalg.norm(mapped_directions(connectivity.matrix, fs), axis=-1)
-    divisors = np.asarray(dec.lattice.rest)
-    best, errors, mse, excluded = _grid_fit(
-        norms, np.asarray(targets, float), divisors, param_of_dir, len(names), dec.lattice.law,
-        ansatz.bounds, ansatz.step, ansatz.refinements,
-    )
-    params = {name: float(val) for name, val in zip(names, best)}
-    finite = errors[np.isfinite(errors)]
-    return FitResult(
-        params, mse, errors, float(np.max(np.abs(finite))), int(np.isfinite(errors).sum()), excluded,
-        groups={f"G_{k + 1}": builders[k](best).tolist() for k in range(2)},
+    return _fit(
+        mapped_lengths(dec.lattice.connectivity.matrix, fs), targets, np.asarray(dec.lattice.rest), param_of_dir,
+        names, dec.lattice.law, ansatz.bounds, lambda x: {f"G_{k + 1}": b(x).tolist() for k, b in enumerate(builders)},
     )
 
 
@@ -399,7 +375,12 @@ class ConvergenceStudy:
 
     @property
     def converged(self) -> bool:
-        return self.drift <= self.drift_tol and not self.mse_increased
+        """Small drift, no MSE increase, and full rank at the two largest N: a
+        rank-deficient fit reports one arbitrary point of a set of optima, so
+        its drift says nothing about convergence.  (Rows hold `fit_growth`
+        results, whose parameters are exactly the fitted ones.)"""
+        full_rank = all(row.fit.rank == len(row.fit.parameters) for row in self.rows[-2:])
+        return self.drift <= self.drift_tol and not self.mse_increased and full_rank
 
 
 def convergence_study(

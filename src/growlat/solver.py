@@ -66,8 +66,8 @@ class SolveReport:
 def _edge_terms(sample: FiniteLatticeSample, positions: np.ndarray, order: int):
     """Edge vectors, their lengths and the spring kernel's terms up to `order`."""
     d = positions[sample.edges[:, 1]] - positions[sample.edges[:, 0]]
-    r, terms = spring_terms(sample.law, d, sample.rest * sample.growth, sample.growth**sample.law.p, order)
-    return d, r, terms
+    r = np.linalg.norm(d, axis=-1)
+    return d, r, spring_terms(sample.law, r, sample.rest * sample.growth, sample.growth**sample.law.p, order)
 
 
 class _Iterate:

@@ -90,17 +90,16 @@ def growable_energy(law: SpringLaw, rest, current):
     return rest**law.p * profile_energy(law, current / rest)
 
 
-def spring_terms(law: SpringLaw, vectors, scale, weight, order: int = 0):
-    """The spring kernel: lengths r = ||vectors|| over the last axis, and
+def spring_terms(law: SpringLaw, r, scale, weight, order: int = 0):
+    """The spring kernel: for spring lengths r,
 
         weight * W^(k)(r / scale) / scale**k    for k = 0, ..., order.
 
     With scale = L g (the grown rest length) and weight = g**p these are the
     energy g**p W(r / (L g)) of a grown spring and its first and second
     derivatives in r.  W^(k) comes from `law.stretch_profile`, so custom
-    profiles work wherever the kernel is used.  Returns (r, [terms]).
+    profiles work wherever the kernel is used.  Returns [terms].
     """
-    r = np.linalg.norm(vectors, axis=-1)
     x = r / scale
     profile = law.stretch_profile
     terms = [weight * profile.value(x)]
@@ -108,7 +107,7 @@ def spring_terms(law: SpringLaw, vectors, scale, weight, order: int = 0):
         terms.append(weight * profile.deriv(x) / scale)
     if order >= 2:
         terms.append(weight * profile.second(x) / scale**2)
-    return r, terms
+    return terms
 
 
 def per_length(values, r):

@@ -1,10 +1,27 @@
+import math
+
 import numpy as np
+import pytest
 
-from growlat.homogenize import ConvergenceRow, ConvergenceStudy, FitResult
+from growlat import continuum, lattice
+from growlat.homogenize import (
+    ConvergenceRow,
+    ConvergenceStudy,
+    DeformationFamily,
+    FitResult,
+    GrowthAnsatz,
+    _relative_residuals,
+    fit_growth,
+    fit_rest_lengths,
+    sample_family,
+)
+
+SQRT2 = math.sqrt(2.0)
+SIM1_ANSATZ = GrowthAnsatz("isotropic", "rotated-diagonal")
 
 
-def fit(mse, gamma=1.0):
-    return FitResult({"gamma_1": gamma}, mse, np.array([np.sqrt(mse)]), float(np.sqrt(mse)), 1, ())
+def fit(mse, gamma=1.0, rank=1):
+    return FitResult({"gamma_1": gamma}, mse, np.array([np.sqrt(mse)]), float(np.sqrt(mse)), 1, (), rank)
 
 
 def study(mse_small_n, mse_large_n):
@@ -29,3 +46,110 @@ def test_real_mse_increase_is_reported():
 def test_single_row_study_is_converged():
     s = ConvergenceStudy((ConvergenceRow(16, fit(1e-3)),), drift_tol=0.01)
     assert s.drift == 0.0 and not s.mse_increased and s.converged
+
+
+def test_rank_deficient_row_makes_the_study_not_converged():
+    rows = (ConvergenceRow(16, fit(1e-29)), ConvergenceRow(32, fit(1e-29, rank=0)))
+    s = ConvergenceStudy(rows, drift_tol=0.01)
+    assert s.drift == 0.0 and not s.mse_increased
+    assert not s.converged
+
+
+# ---------------------------------------------------------------------------
+# Fits against targets made by the model at known parameters
+
+
+def sim1_decomposition(law):
+    return continuum.decompose(lattice.square_lattice(law=law), continuum.square_partition_choices()[0])
+
+
+def grown_targets(law, gammas, fs):
+    """Cauchy-Born energies of the square lattice grown by (g1, g1, g+, g-):
+    the sim1 ansatz's model at (g1, g+, g-)."""
+    g1, gp, gm = gammas
+    grown = lattice.apply_growth(lattice.square_lattice(law=law), (g1, g1, gp, gm))
+    return continuum.cauchy_born_energy_many(grown, fs)
+
+
+def one_sided_shears(count=25):
+    # shears of one sign only: the symmetric family maps gamma+ <-> gamma- onto
+    # an equally good fit
+    fs = np.tile(np.eye(2), (count, 1, 1))
+    fs[:, 0, 1] = np.linspace(0.02, 0.5, count)
+    return fs
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_jacobian_matches_central_differences(q):
+    law = lattice.SpringLaw(q=q)
+    co = lattice.square_connectivity()
+    fs = one_sided_shears(7)
+    lengths = continuum.mapped_lengths(co.matrix, fs)
+    targets = np.linspace(0.1, 0.3, len(fs))
+    residuals, jacobian = _relative_residuals(lengths, targets, np.asarray(co.norms()), np.array([0, 0, 1, 2]), 3, law)
+    x, h = np.array([1.1, 0.9, 1.2]), 1e-6
+    numeric = np.stack([(residuals(x + h * e) - residuals(x - h * e)) / (2 * h) for e in np.eye(3)], axis=1)
+    assert np.allclose(jacobian(x), numeric, rtol=1e-7, atol=1e-9)
+
+
+def test_fit_growth_recovers_full_rank_parameters():
+    law = lattice.SpringLaw(q=3)
+    truth = (1.1, 0.9, 1.2)
+    fs = one_sided_shears()
+    result = fit_growth(sim1_decomposition(law), fs, grown_targets(law, truth, fs), SIM1_ANSATZ)
+    got = [result.parameters[k] for k in ("gamma_1", "gamma_plus", "gamma_minus")]
+    assert np.allclose(got, truth, rtol=0.0, atol=1e-8)
+    assert result.relative_mse <= 1e-20
+    assert result.rank == 3
+    assert result.n_used == len(fs) and result.excluded == ()
+
+
+def test_zero_targets_are_excluded_with_nan_errors():
+    law = lattice.SpringLaw(q=3)
+    truth = (1.1, 0.9, 1.2)
+    fs = one_sided_shears()
+    targets = grown_targets(law, truth, fs)
+    targets[[3, 7]] = 0.0
+    result = fit_growth(sim1_decomposition(law), fs, targets, SIM1_ANSATZ)
+    assert result.excluded == (3, 7)
+    assert np.isnan(result.errors[[3, 7]]).all()
+    assert np.isfinite(np.delete(result.errors, [3, 7])).all()
+    assert result.n_used == len(fs) - 2
+    assert result.relative_mse <= 1e-20
+
+
+def test_all_zero_targets_raise():
+    law = lattice.SpringLaw(q=3)
+    fs = one_sided_shears()
+    with pytest.raises(ValueError, match="all target energies are zero"):
+        fit_growth(sim1_decomposition(law), fs, np.zeros(len(fs)), SIM1_ANSATZ)
+
+
+def test_quadratic_dilational_fit_reports_rank_two():
+    # under lambda I with q = 2 the energy is a quadratic in lambda with two
+    # free coefficients, so three parameters cannot all be determined
+    law = lattice.SpringLaw(q=2)
+    _, fs = sample_family(DeformationFamily("dilational", lam_max=1.25, count=30))
+    result = fit_growth(sim1_decomposition(law), fs, grown_targets(law, (1.1, 0.9, 1.2), fs), SIM1_ANSATZ)
+    assert result.relative_mse <= 1e-20
+    assert result.rank == 2
+
+
+@pytest.mark.parametrize("tied, rest, want", [
+    (True, (1.05, 1.05, 1.1 * SQRT2, 1.1 * SQRT2), {"ell0": 1.05, "ell1": 1.1}),
+    (False, (1.05, 0.95, 1.1 * SQRT2, 1.1 * SQRT2),
+     {"ell_1_0": 1.05, "ell_0_1": 0.95, "ell_1_1": 1.1, "ell_1_-1": 1.1}),
+])
+def test_fit_rest_lengths_recovers_rest_lengths(tied, rest, want):
+    law = lattice.SpringLaw(q=3)
+    co = lattice.square_connectivity()
+    _, fs = sample_family(DeformationFamily("box-grid", lam_max=1.25, lam_shear=0.25, count=3))
+    targets = continuum.cauchy_born_energy_many(lattice.HomogeneousLattice(co, rest, (), law), fs)
+    result = fit_rest_lengths(fs, targets, law, co, tied=tied)
+    for name, value in want.items():
+        assert result.parameters[name] == pytest.approx(value, abs=1e-8)
+    for v, length in zip(co.directions, rest):
+        assert result.parameters[f"L_{'_'.join(str(c) for c in v)}"] == pytest.approx(length, abs=1e-8)
+    assert result.rank == len(want)
+    assert result.relative_mse <= 1e-20
+    assert sorted(result.groups) == sorted(want)
