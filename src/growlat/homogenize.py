@@ -347,8 +347,8 @@ class ConvergenceRow:
     fit: FitResult
 
 
-# relative MSE changes below this are rounding, not growth
-_MSE_RTOL = 1e-9
+# MSE changes within these (relative, absolute) are rounding, not growth
+_MSE_RTOL, _MSE_ATOL = 1e-9, 1e-20
 
 
 @dataclass(frozen=True)
@@ -366,12 +366,12 @@ class ConvergenceStudy:
 
     @property
     def mse_increased(self) -> bool:
-        """The MSE grew, by more than _MSE_RTOL relative, from the
-        second-largest to the largest N."""
+        """The MSE grew, by more than _MSE_RTOL relative and _MSE_ATOL
+        absolute, from the second-largest to the largest N."""
         if len(self.rows) < 2:
             return False
         a, b = self.rows[-2].fit.relative_mse, self.rows[-1].fit.relative_mse
-        return b > a * (1.0 + _MSE_RTOL)
+        return b > a * (1.0 + _MSE_RTOL) + _MSE_ATOL
 
     @property
     def converged(self) -> bool:

@@ -10,6 +10,7 @@ so samples are bit-reproducible given the scenario seed.
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -289,6 +290,28 @@ class FiniteLatticeSample:
         """Node positions of the affine field x -> F x."""
         f = np.asarray(f, dtype=float)
         return self.nodes.astype(float) @ f.T
+
+    @cached_property
+    def stiffness_pattern(self) -> tuple:
+        """Scatter index (edge, sign, slot, indices, indptr) of the interior
+        stiffness matrix, built on first use.  The matrix sums, over edges, a
+        symmetric DxD block K_e at the (tail, tail) and (head, head) node
+        blocks and -K_e at (tail, head) and (head, tail), restricted to the
+        nodes off the boundary (node-major).  The flattened blocks
+        sign[b] * K_edge[b] add into data[slot]; (indices, indptr) is the CSR
+        and, by symmetry, the CSC structure."""
+        dim, interior = self.dimension, ~self.boundary_mask()
+        ends = np.where(interior, np.cumsum(interior) - 1, -1)[self.edges]  # interior index; -1 if pinned
+        # node blocks (tail, tail), (head, head), (tail, head), (head, tail)
+        i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
+        edge, which = np.nonzero((i >= 0) & (j >= 0))
+        u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        m = dim * np.count_nonzero(interior)
+        key = ((dim * i[edge, which, None, None] + u) * m + dim * j[edge, which, None, None] + v).ravel()
+        entries, slot = np.unique(key, return_inverse=True)  # row-major: CSR order
+        indptr = np.searchsorted(entries, m * np.arange(m + 1))
+        return (edge, np.array([1.0, 1.0, -1.0, -1.0])[which], slot,
+                (entries % m).astype(np.int32), indptr.astype(np.int32))
 
 
 def build_sample(

@@ -9,9 +9,10 @@ of a homogeneous sample agree with the Cauchy-Born density at every N.
 
 Both relaxation modes are Newton methods on the exact energy, gradient and
 interior Hessian, all three built from one call of the spring kernel
-(`springs.spring_terms`) per iterate.  `minimize` is a trust-region Newton
-method that may leave the affine branch; `relax_branch` takes step-capped
-Newton steps and stays on it.
+(`springs.spring_terms`) per iterate; one bincount scatters the Hessian into
+the sample's fixed CSC pattern.  `minimize` is a trust-region Newton method
+that may leave the affine branch; `relax_branch` takes step-capped Newton
+steps, each a symmetric-mode SuperLU solve, and stays on it.
 """
 
 import dataclasses
@@ -75,8 +76,8 @@ class _Iterate:
     positions, all from one call of the spring kernel.  The Hessian is
     assembled on first use."""
 
-    def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray, interior: np.ndarray):
-        self.sample, self.positions, self.interior = sample, positions, interior
+    def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray):
+        self.sample, self.positions, self.interior = sample, positions, ~sample.boundary_mask()
         self._springs = d, r, (self.edge_energies, slope, _) = _edge_terms(sample, positions, 2)
         self.energy = float(np.sum(self.edge_energies))
         force = per_length(slope, r)[:, None] * d  # contribution along each edge
@@ -86,41 +87,31 @@ class _Iterate:
             - np.bincount(sample.edges[:, 0], weights=force[:, axis], minlength=m)
             for axis in range(sample.dimension)
         ], axis=1)
-        self.x = positions[interior].ravel()
-        self.grad = self.gradient[interior].ravel()
+        self.x = positions[self.interior].ravel()
+        self.grad = self.gradient[self.interior].ravel()
         self.grad_norm = float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
 
     @cached_property
     def hessian(self):
-        """Sparse Hessian in the interior coordinates (node-major).  Per edge,
-        the DxD block of the spring energy in the edge vector d is
+        """Sparse CSC Hessian in the interior coordinates (node-major).  Per
+        edge, the DxD block of the spring energy in the edge vector d is
         (E' / r) I + (E'' - E' / r) d d^T / r^2, with E', E'' the kernel's
-        derivatives in r."""
+        derivatives in r.  One bincount sums the blocks into the data of the
+        sample's fixed `stiffness_pattern`."""
         import scipy.sparse as sp
 
-        sample, dim = self.sample, self.sample.dimension
+        edge, sign, slot, indices, indptr = self.sample.stiffness_pattern
         d, r, (_, slope, curvature) = self._springs
         tension = per_length(slope, r)
-        block = (per_length(curvature - tension, r * r)[:, None, None] * d[:, :, None] * d[:, None, :]
-                 + tension[:, None, None] * np.eye(dim))
-
-        index = -np.ones(sample.n_nodes, dtype=np.int64)
-        index[self.interior] = np.arange(self.x.size // dim)
-        ends = index[sample.edges]  # interior index of each edge's tail and head; -1 if pinned
-        # the four DxD blocks of an edge: (tail, tail), (head, head), (tail, head), (head, tail)
-        i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
-        edge, which = np.nonzero((i >= 0) & (j >= 0))
-        u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        rows = (dim * i[edge, which][:, None, None] + u).ravel()
-        cols = (dim * j[edge, which][:, None, None] + v).ravel()
-        vals = (block[edge] * np.array([1.0, 1.0, -1.0, -1.0])[which, None, None]).ravel()
-        m = self.x.size
-        return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+        block = (per_length(curvature - tension, r * r)[:, None, None] * (d[:, :, None] * d[:, None, :])
+                 + tension[:, None, None] * np.eye(self.sample.dimension))
+        data = np.bincount(slot, (block[edge] * sign[:, None, None]).ravel(), minlength=indices.size)
+        return sp.csc_matrix((data, indices, indptr), shape=(self.x.size,) * 2)
 
     def moved(self, x: np.ndarray) -> "_Iterate":
         positions = self.positions.copy()
         positions[self.interior] = x.reshape(-1, self.sample.dimension)
-        return _Iterate(self.sample, positions, self.interior)
+        return _Iterate(self.sample, positions)
 
     def converged(self, opts: SolverOptions) -> bool:
         return self.grad_norm <= opts.gtol_rel * (1.0 + abs(self.energy))
@@ -141,7 +132,7 @@ def owned_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
 
 def energy_and_gradient(sample: FiniteLatticeSample, positions: np.ndarray):
     """Total energy and its gradient with respect to all node positions."""
-    it = _Iterate(sample, np.asarray(positions, dtype=float), ~sample.boundary_mask())
+    it = _Iterate(sample, np.asarray(positions, dtype=float))
     return it.energy, it.gradient
 
 
@@ -151,7 +142,7 @@ def _affine_start(sample: FiniteLatticeSample, boundary: AffineBoundary) -> _Ite
     f = np.asarray(boundary.f, dtype=float)
     if f.shape != (sample.dimension, sample.dimension):
         raise ValueError("boundary gradient shape must match the sample dimension")
-    return _Iterate(sample, sample.affine_positions(f), ~sample.boundary_mask())
+    return _Iterate(sample, sample.affine_positions(f))
 
 
 def _report(it: _Iterate, iterations: int, opts: SolverOptions, reason: str) -> SolveReport:
@@ -245,9 +236,11 @@ def relax_branch(
     opts: SolverOptions | None = None,
 ) -> SolveReport:
     """Equilibrium on the unbuckled branch: Newton from the affine state,
-    each step a sparse direct solve with the exact interior Hessian and
-    capped at a nodal displacement of 0.25, converging to the nearby
-    stationary point whether or not it is stable.
+    each step capped at a nodal displacement of 0.25, converging to the
+    nearby stationary point whether or not it is stable.  Each step factors
+    the exact interior Hessian, assembled into the sample's fixed scatter
+    pattern, with SuperLU in symmetric mode: minimum-degree ordering of
+    H + H^T, diagonal pivots kept down to 1e-4 of the column maximum.
 
     At most 60 Newton steps; opts.max_iter does not apply.  Under strong
     compression the energy also has folded minima far from the affine
@@ -256,15 +249,19 @@ def relax_branch(
     equilibrium is a stable minimum this returns the same state as
     `minimize`.
     """
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     opts = opts or SolverOptions()
     it = _affine_start(sample, boundary)
     steps = 0
     reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
     while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
-        delta = spsolve(it.hessian.tocsc(), -it.grad)
-        if not np.all(np.isfinite(delta)):
+        try:
+            delta = splu(it.hessian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4,
+                         options={"SymmetricMode": True}).solve(-it.grad)
+        except RuntimeError:  # SuperLU: exactly singular factor
+            delta = None
+        if delta is None or not np.all(np.isfinite(delta)):
             reason = "singular Hessian on the affine branch"
             break
         biggest = float(np.max(np.abs(delta)))

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -39,3 +41,41 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_check_passes_every_suite(tmp_path):
+    result = run_cli(tmp_path, "check")
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "checks_summary.json").read_text())
+    assert report["ok"] and all(check["ok"] for check in report["checks"].values())
+
+
+def test_order_of_the_square_lattice_is_two(tmp_path):
+    result = run_cli(tmp_path, "order")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads((tmp_path / "order.json").read_text())
+    assert payload["order"] == 2
+    assert payload["classes"] == [[[1, 0], [0, 1]], [[1, 1], [1, -1]]]
+
+
+def write_config(tmp_path, growth):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lattice": {"growth": growth}}))
+    return str(path)
+
+
+def test_ground_state_of_dilational_growth_is_the_dilation(tmp_path):
+    result = run_cli(tmp_path, "--config", write_config(tmp_path, [1.2] * 4), "ground-state")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads((tmp_path / "ground_state.json").read_text())
+    assert payload["config"]["growth"] == [1.2] * 4
+    assert np.allclose(payload["growth_tensor"], 1.2 * np.eye(2), rtol=0.0, atol=1e-8)
+    assert abs(payload["energy"]) <= 1e-14
+
+
+def test_decompose_axis_growth_into_diagonal_tensors(tmp_path):
+    result = run_cli(tmp_path, "--config", write_config(tmp_path, [1.1, 0.9, 1.0, 1.0]), "decompose")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads((tmp_path / "decomposition.json").read_text())
+    assert payload["partition"] == [[0, 1], [2, 3]]
+    assert np.allclose(payload["growth_tensors"], [[1.1, 0.0, 0.0, 0.9], [1.0, 0.0, 0.0, 1.0]], rtol=0.0, atol=1e-12)

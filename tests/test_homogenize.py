@@ -37,6 +37,12 @@ def test_mse_rounding_difference_is_not_an_increase():
     assert s.converged
 
 
+def test_mse_change_at_the_rounding_floor_is_not_an_increase():
+    # sim1's rank-2 dilational fits at N = 32 and 64
+    s = study(7.8e-30, 1.0e-29)
+    assert not s.mse_increased
+
+
 def test_real_mse_increase_is_reported():
     s = study(6.2e-7, 6.3e-7)
     assert s.mse_increased

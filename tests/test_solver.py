@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from growlat import solver
 from growlat.lattice import (
@@ -18,10 +21,12 @@ from growlat.lattice import (
     uniform_growth,
 )
 from growlat.continuum import cauchy_born_energy
+from growlat.springs import spring_terms
 from growlat.solver import (
     AffineBoundary,
     SolverOptions,
     _Iterate,
+    _affine_start,
     constant_growth,
     energy_and_gradient,
     linear_growth,
@@ -52,14 +57,27 @@ class Quartic:
 
 
 def interior_hessian(sample, positions):
-    return _Iterate(sample, positions, ~sample.boundary_mask()).hessian.toarray()
+    return _Iterate(sample, positions).hessian.toarray()
 
 
-def folded_datum():
-    """sim2-type growth at N = 6 under dilation by 1/1.5: the affine branch is
+def folded_datum(n=6):
+    """sim2-type growth under dilation by 1/1.5: the affine branch is
     unstable there and the energy has folded minima."""
-    s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=0), LAW)
+    s = build_sample(square_connectivity(), n, REST, uniform_growth(((0.8, 1.2),) * 4, seed=0), LAW)
     return s, AffineBoundary(np.eye(2) / 1.5)
+
+
+class Linear:
+    """Custom stretch profile x - 1: W'' = 0, so every Hessian block vanishes."""
+
+    def value(self, x):
+        return np.asarray(x, dtype=float) - 1.0
+
+    def deriv(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def second(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def oracle_total_energy(sample, positions):
@@ -288,6 +306,40 @@ class TestHessian:
         assert np.allclose(h, h.T, rtol=0.0, atol=1e-12)
         assert np.allclose(h, fd, rtol=1e-6, atol=1e-7)
 
+    def test_scatter_assembly_matches_coo_assembly(self):
+        s, _ = folded_datum(16)
+        pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(1).standard_normal((s.n_nodes, 2))
+        interior = ~s.boundary_mask()
+        index = np.cumsum(interior) - 1  # interior index of each node
+        d = pos[s.edges[:, 1]] - pos[s.edges[:, 0]]
+        r = np.linalg.norm(d, axis=1)
+        _, slope, curvature = spring_terms(s.law, r, s.rest * s.growth, s.growth**s.law.p, 2)
+        rows, cols, vals = [], [], []
+        for e, (tail, head) in enumerate(s.edges):
+            u = d[e] / r[e]
+            block = curvature[e] * np.outer(u, u) + slope[e] / r[e] * (np.eye(2) - np.outer(u, u))
+            for a, b, sign in ((tail, tail, 1), (head, head, 1), (tail, head, -1), (head, tail, -1)):
+                if interior[a] and interior[b]:
+                    for k in range(2):
+                        for m in range(2):
+                            rows.append(2 * index[a] + k)
+                            cols.append(2 * index[b] + m)
+                            vals.append(sign * block[k, m])
+        size = 2 * int(interior.sum())
+        want = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).toarray()
+        got = _Iterate(s, pos).hessian
+        assert got.format == "csc"
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_iterates_of_one_sample_share_one_pattern(self):
+        s, boundary = folded_datum()
+        first, second = _affine_start(s, boundary), _affine_start(s, AffineBoundary(np.eye(2)))
+        moved = first.moved(first.x + 0.01)
+        assert first.sample.stiffness_pattern is second.sample.stiffness_pattern
+        for it in (second, moved):
+            assert np.shares_memory(it.hessian.indices, first.hessian.indices)
+            assert np.shares_memory(it.hessian.indptr, first.hessian.indptr)
+
 
 class TestRelaxBranch:
     def test_matches_minimize_on_a_stable_datum(self):
@@ -321,6 +373,37 @@ class TestRelaxBranch:
         assert not report.converged
         assert report.iterations == 60
         assert "Newton steps" in report.message
+
+    def test_singular_hessian_is_reported(self):
+        s = one_d_chain(linear_growth(1.0, 0.5), 4, 1.0, SpringLaw(profile=Linear()))
+        report = relax_branch(s, AffineBoundary(np.array([[1.2]])))
+        assert not report.converged
+        assert report.iterations == 0
+        assert "singular Hessian" in report.message
+
+    def test_every_step_of_a_failing_solve_is_accurate(self, monkeypatch):
+        factorise, steps = spla.splu, []
+
+        def recording_splu(h, **kwargs):
+            lu = factorise(h, **kwargs)
+
+            def solve(rhs):
+                steps.append(lu.solve(rhs))
+                return steps[-1].copy()  # relax_branch caps its step in place
+
+            return SimpleNamespace(solve=solve)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        s, boundary = folded_datum(16)
+        report = relax_branch(s, boundary)
+        assert not report.converged and report.iterations == len(steps) == 60
+        # replay the iterates: each step solves H delta = -g with the exact
+        # Hessian and gradient of its iterate
+        it = _affine_start(s, boundary)
+        for delta in steps:
+            assert np.max(np.abs(it.hessian @ delta + it.grad)) <= 1e-8 * np.max(np.abs(it.grad))
+            it = it.moved(it.x + delta * min(1.0, 0.25 / np.max(np.abs(delta))))
+        assert np.array_equal(it.positions, report.positions)
 
 
 class TestFoldedMinimize:
