@@ -5,7 +5,6 @@ affine boundary data, and least-squares homogenisation of growth."""
 from .springs import (
     PowerProfile,
     SpringLaw,
-    growable_energy,
     profile_energy,
 )
 from .lattice import (
@@ -55,7 +54,6 @@ from .solver import (
     SolveReport,
     SolverOptions,
     constant_growth,
-    energy_and_gradient,
     linear_growth,
     minimize,
     one_d_chain,

@@ -437,24 +437,15 @@ class ErrorMap:
         n_def = int(self.defined.sum())
         return float(mask.sum() / n_def) if n_def else float("nan")
 
-    def rows(self):
-        """Iterate CSV rows (lam1, lam2, lam3, error, mask flags...)."""
-        thresholds = sorted(self.masks)
-        for i, a in enumerate(self.lam1):
-            for j, b in enumerate(self.lam2):
-                for k, c in enumerate(self.lam3):
-                    row = [a, b, c, self.values[i, j, k]]
-                    row += [int(self.masks[t][i, j, k]) for t in thresholds]
-                    yield row
-
     def to_csv(self, path):
+        """One row (lam1, lam2, lam3, error, mask flags...) per grid point, lam3 fastest."""
         from .serialize import write_csv
 
         thresholds = sorted(self.masks)
-        header = ["lam1", "lam2", "lam3", "error"] + [
-            f"mask_{int(round(t * 100))}" for t in thresholds
-        ]
-        write_csv(path, header, self.rows())
+        header = ["lam1", "lam2", "lam3", "error"] + [f"mask_{int(round(t * 100))}" for t in thresholds]
+        grid = [axis.ravel() for axis in np.meshgrid(self.lam1, self.lam2, self.lam3, indexing="ij")]
+        masks = [self.masks[t].ravel() for t in thresholds]
+        write_csv(path, header, zip(*grid, self.values.ravel(), *masks))
 
 
 def fractional_error_map(

@@ -269,19 +269,6 @@ class FiniteLatticeSample:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    def node_index(self, x) -> int:
-        shape = (self.n + 1,) * self.dimension
-        return int(np.ravel_multi_index(tuple(int(c) for c in x), shape))
-
-    def edge_index(self, x, v) -> int:
-        """Index of the edge with tail node x along direction v."""
-        k = self.connectivity.directions.index(tuple(int(c) for c in v))
-        i = self.node_index(x)
-        hits = np.nonzero((self.edge_dirs == k) & (self.edges[:, 0] == i))[0]
-        if hits.size != 1:
-            raise KeyError(f"no edge at {tuple(x)} along {tuple(v)}")
-        return int(hits[0])
-
     def boundary_mask(self) -> np.ndarray:
         """True for nodes on the boundary of the box."""
         return np.any((self.nodes == 0) | (self.nodes == self.n), axis=1)

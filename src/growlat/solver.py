@@ -125,13 +125,8 @@ def total_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
     return float(np.sum(_edge_terms(sample, positions, 0)[2][0]))
 
 
-def owned_energy(sample: FiniteLatticeSample, positions: np.ndarray) -> float:
-    """Energy of the cell-owned springs (per-cell numerator)."""
-    return float(np.sum(_edge_terms(sample, positions, 0)[2][0][sample.owned]))
-
-
 def energy_and_gradient(sample: FiniteLatticeSample, positions: np.ndarray):
-    """Total energy and its gradient with respect to all node positions."""
+    """Total energy and its gradient in all node positions (an entry point of bench/spans.py)."""
     it = _Iterate(sample, np.asarray(positions, dtype=float))
     return it.energy, it.gradient
 

@@ -78,18 +78,6 @@ def profile_deriv(law: SpringLaw, x):
     return law.stretch_profile.deriv(np.asarray(x, dtype=float))
 
 
-def growable_energy(law: SpringLaw, rest, current):
-    """Two-argument energy l**p * W(e / l) of a spring with rest length l
-    and current length e."""
-    rest = np.asarray(rest, dtype=float)
-    current = np.asarray(current, dtype=float)
-    if np.any(rest <= 0):
-        raise ValueError("rest length must be positive")
-    if np.any(current < 0):
-        raise ValueError("current length must be non-negative")
-    return rest**law.p * profile_energy(law, current / rest)
-
-
 def spring_terms(law: SpringLaw, r, scale, weight, order: int = 0):
     """The spring kernel: for spring lengths r,
 

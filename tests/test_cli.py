@@ -1,3 +1,5 @@
+import csv
+import itertools
 import json
 import os
 import subprocess
@@ -5,6 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from growlat import apply_growth, fractional_error_map, square_lattice
+from growlat.experiments import EXAMPLE_GROWTH
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,6 +38,36 @@ def test_simulate_sim1_reaches_the_shear_optimum(tmp_path):
     fits = json.loads((tmp_path / "sim1_summary.json").read_text())["fits"]
     assert fits["shear"]["relative_mse_sum"] <= 6.2e-7
     assert all(isinstance(fit["jacobian_rank"], int) for fit in fits.values())
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_error_map_ex7_writes_every_grid_point(tmp_path):
+    result = run_cli(tmp_path, "error-map", "ex7")
+    assert result.returncode == 0, result.stderr
+    header, *rows = read_csv(tmp_path / "ex7_error_map.csv")
+    assert header == ["lam1", "lam2", "lam3", "error", "mask_10", "mask_20"]
+    assert len(rows) == 86_756  # 46 x 46 x 41, lam3 fastest
+    initial = square_lattice()
+    emap = fractional_error_map(initial, apply_growth(initial, EXAMPLE_GROWTH["ex7"]), thresholds=(0.10, 0.20))
+    points = itertools.product(emap.lam1.tolist(), emap.lam2.tolist(), emap.lam3.tolist())
+    expected = [[*map(repr, point), repr(error)] for point, error in zip(points, emap.values.ravel().tolist())]
+    assert [row[:4] for row in rows] == expected
+    masks = np.array([row[4:] for row in rows])
+    assert set(masks.ravel()) <= {"0", "1"}
+    assert np.array_equal(masks == "1", np.stack([emap.masks[0.10].ravel(), emap.masks[0.20].ravel()], axis=1))
+
+
+def test_oned_writes_n_as_integers(tmp_path):
+    result = run_cli(tmp_path, "oned")
+    assert result.returncode == 0, result.stderr
+    header, *rows = read_csv(tmp_path / "oned_convergence.csv")
+    assert header == ["f", "n", "chain_energy", "continuum_energy", "abs_error"]
+    assert [row[1] for row in rows] == ["16", "32", "64", "128", "256", "512"]
+    assert all(row[0] == "2.0" for row in rows)
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

@@ -40,6 +40,13 @@ def brute_force_order(connectivity):
     return best
 
 
+def edge_at(sample, x, v):
+    """Index of the edge of `sample` with tail node x along direction v."""
+    along = sample.edge_dirs == sample.connectivity.directions.index(v)
+    (hit,) = np.nonzero(along & np.all(sample.nodes[sample.edges[:, 0]] == x, axis=1))[0]
+    return hit
+
+
 def brute_force_edges(connectivity, n):
     """Independent oracle: double loop over node pairs."""
     nodes = list(itertools.product(range(n + 1), repeat=connectivity.dimension))
@@ -169,8 +176,8 @@ class TestBuildSample:
         plus, minus = co.directions.index((1, 1)), co.directions.index((1, -1))
         for i in range(4):
             for j in range(4):
-                gp = s.growth[s.edge_index((i, j), (1, 1))]
-                gm = s.growth[s.edge_index((i, j + 1), (1, -1))]
+                gp = s.growth[edge_at(s, (i, j), (1, 1))]
+                gm = s.growth[edge_at(s, (i, j + 1), (1, -1))]
                 assert gp**2 + gm**2 == pytest.approx(2.0, rel=1e-12)
                 expected_high = (i + j) % 2 == 0
                 assert (gp == 1.2) == expected_high

@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
+import pytest
 
-from growlat.serialize import write_csv, write_json
+from growlat.serialize import CHUNK_ROWS, _format_cell, write_csv, write_json
 
 FLOATS = [0.1, 1.0 / 3.0, 2.0**0.5, 1e-300, 5e-324, -1.7976931348623157e308, 6.02214076e23]
 
@@ -32,6 +34,73 @@ def test_csv_integers_and_bools_are_ints(tmp_path):
 def test_csv_creates_parent_directories(tmp_path):
     write_csv(tmp_path / "a" / "b.csv", ["x"], [["text"]])
     assert read_rows(tmp_path / "a" / "b.csv") == [["x"], ["text"]]
+
+
+def reference_csv(header, rows):
+    """What csv.writer writes for the cells formatted one at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([_format_cell(x) for x in row] for row in rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_csv_chunks_match_cell_by_cell_formatting(tmp_path):
+    rng = np.random.default_rng(2)
+    n = 2 * CHUNK_ROWS + 1
+    floats = rng.choice(rng.standard_normal(50), n)  # repeated bit patterns
+    rows = [[i, x, np.float32(x), bool(i % 3), np.int32(-i), f"t{i % 7}", x * 1e300, x * 1e-300]
+            for i, x in enumerate(floats.tolist())]
+    header = ["i", "x", "x32", "flag", "neg", "text", "big", "tiny"]
+    write_csv(tmp_path / "c.csv", header, rows)
+    assert (tmp_path / "c.csv").read_bytes() == reference_csv(header, rows)
+
+
+def test_csv_special_floats_keep_their_bits(tmp_path):
+    column = [-0.0, 0.0, np.float64(-0.0), float("nan"), -np.nan, np.inf, -np.inf, np.float32(0.1), 0.1]
+    write_csv(tmp_path / "s.csv", ["x"], [[x] for x in column])
+    cells = [row[0] for row in read_rows(tmp_path / "s.csv")[1:]]
+    assert cells == ["-0.0", "0.0", "-0.0", "nan", "nan", "inf", "-inf", repr(float(np.float32(0.1))), "0.1"]
+
+
+def test_csv_mixed_int_and_float_column_keeps_the_int(tmp_path):
+    write_csv(tmp_path / "m.csv", ["n"], [[16], [16.0], [np.int64(32)], [0.5]])
+    assert [row[0] for row in read_rows(tmp_path / "m.csv")[1:]] == ["16", "16.0", "32", "0.5"]
+
+
+def test_csv_none_beside_floats(tmp_path):
+    rows = [[None, 1.5], [2.25, None], [None, None]]
+    write_csv(tmp_path / "n.csv", ["a", "b"], rows)
+    assert (tmp_path / "n.csv").read_bytes() == reference_csv(["a", "b"], rows)
+    assert read_rows(tmp_path / "n.csv")[1:] == [["None", "1.5"], ["2.25", "None"], ["None", "None"]]
+
+
+def test_csv_rows_from_a_one_shot_generator(tmp_path):
+    rows = [[float(i) / 3, i] for i in range(CHUNK_ROWS + 5)]
+    write_csv(tmp_path / "g.csv", ["x", "i"], (row for row in rows))
+    assert (tmp_path / "g.csv").read_bytes() == reference_csv(["x", "i"], rows)
+
+
+def test_csv_without_rows_has_the_header_only(tmp_path):
+    write_csv(tmp_path / "h.csv", ["a", "b"], iter(()))
+    assert (tmp_path / "h.csv").read_bytes() == b"a,b\r\n"
+
+
+@pytest.mark.parametrize("header,rows", [
+    (["a", "b"], [["x,y", 1]]),
+    (["a", "b"], [['say "hi"', 1]]),
+    (["a", "b"], [["two\nlines", 1]]),
+    (["a"], [[""]]),
+    (["a,b"], [[1]]),
+])
+def test_csv_cells_that_need_quoting_raise(tmp_path, header, rows):
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(tmp_path / "q.csv", header, rows)
+
+
+def test_csv_rows_need_one_cell_per_header_name(tmp_path):
+    with pytest.raises(ValueError, match="cells"):
+        write_csv(tmp_path / "r.csv", ["a", "b"], [[1, 2], [3]])
 
 
 def test_json_numpy_values_and_layout(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growlat import springs
@@ -35,25 +35,38 @@ def test_invalid_exponent():
         springs.PowerProfile(q=0)
 
 
+def spring_energy(law, rest, current):
+    """Two-argument energy l**p W(e / l) of a spring with rest length l and
+    current length e: the kernel with scale = l and weight = l**p."""
+    return springs.spring_terms(law, current, rest, rest**law.p)[0]
+
+
 def test_growable_energy_recombination():
     law = springs.SpringLaw(q=2, p=0.0)
-    assert springs.growable_energy(law, 2.0, 2.2) == pytest.approx(0.01, rel=1e-12)
-    assert springs.growable_energy(law, 3.7, 3.7) == 0.0
+    assert spring_energy(law, 2.0, 2.2) == pytest.approx(0.01, rel=1e-12)
+    assert spring_energy(law, 3.7, 3.7) == 0.0
 
 
 def test_growable_energy_replication():
     law = springs.SpringLaw(q=2, p=1.0)
-    assert springs.growable_energy(law, 2.0, 2.2) == pytest.approx(0.02, rel=1e-12)
+    assert spring_energy(law, 2.0, 2.2) == pytest.approx(0.02, rel=1e-12)
 
 
-def test_growable_energy_domain_errors():
-    law = springs.SpringLaw()
-    with pytest.raises(ValueError):
-        springs.growable_energy(law, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        springs.growable_energy(law, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        springs.growable_energy(law, 1.0, -0.5)
+def homogeneity_bound(law, eta, rest, current, rhs):
+    """Forward-error bound on |E(eta l, eta e) - eta**p E(l, e)| for
+    E(l, e) = l**p W(e / l).  Both sides evaluate W at a rounded stretch:
+    fl(fl(eta e) / fl(eta l)) and fl(e / l) each lie within 3 rounding
+    errors of e / l, so they differ by at most dx = 6 eps x.  To second
+    order, W changes by at most |W'(x)| dx + max|W''| dx**2 / 2 over
+    [x - dx, x + dx]; the second term covers x within a few ulps of 1, where
+    W'(x) ~ 0.  The weights and W's own rounding differ relatively by a few
+    eps, which 1e-12 |rhs| covers."""
+    x = current / rest
+    dx = 6 * np.finfo(float).eps * x
+    profile = law.stretch_profile
+    curvature = np.max(profile.second(np.array([x - dx, x + dx])))
+    change = abs(profile.deriv(x)) * dx + 0.5 * curvature * dx**2
+    return eta**law.p * rest**law.p * change + 1e-12 * abs(rhs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -64,11 +77,22 @@ def test_growable_energy_domain_errors():
     p=st.sampled_from([0.0, 1.0, 0.5]),
     q=st.sampled_from([2, 3, 4]),
 )
+@example(eta=4.75, rest=2.00001, current=2.0, p=0.0, q=2)  # relative error 4.4e-11 near rest
 def test_homogeneity(eta, rest, current, p, q):
     law = springs.SpringLaw(q=q, p=p)
-    lhs = springs.growable_energy(law, eta * rest, eta * current)
-    rhs = eta**p * springs.growable_energy(law, rest, current)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+    lhs = spring_energy(law, eta * rest, eta * current)
+    rhs = eta**p * spring_energy(law, rest, current)
+    assert abs(lhs - rhs) <= homogeneity_bound(law, eta, rest, current, rhs)
+
+
+@pytest.mark.parametrize("eta,rest,current", [(4.75, 2.00001, 2.0), (1.5, 1.0, 1.3), (0.5, 2.0, 0.7)])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_homogeneity_bound_rejects_a_wrong_weight_exponent(eta, rest, current, p):
+    # weight l**(p + 1) in place of l**p scales the left side by eta
+    law = springs.SpringLaw(q=2, p=p)
+    lhs = springs.spring_terms(law, eta * current, eta * rest, (eta * rest) ** (p + 1))[0]
+    rhs = eta**p * springs.spring_terms(law, current, rest, rest ** (p + 1))[0]
+    assert abs(lhs - rhs) > homogeneity_bound(law, eta, rest, current, rhs)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
@@ -78,7 +102,7 @@ def test_linearization_richardson(p):
     gam0, eps0 = 0.7, -0.4
     remainders = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        exact = springs.growable_energy(law, 1 + h * gam0, 1 + h * eps0)
+        exact = spring_energy(law, 1 + h * gam0, 1 + h * eps0)
         quad = 0.5 * 2.0 * (h * eps0 - h * gam0) ** 2
         remainders.append(abs(exact - quad))
     # remainder scales like h^3: halving h cuts it by ~8
