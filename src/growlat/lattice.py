@@ -279,26 +279,64 @@ class FiniteLatticeSample:
         return self.nodes.astype(float) @ f.T
 
     @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """Indices of the nodes off the boundary in nested-dissection order
+        (George, SIAM J. Numer. Anal. 10, 1973), built on first use.  The box
+        of interior nodes is bisected across its longest axis by a slab as
+        wide as the longest step of a spring along that axis, so no spring
+        joins the two halves; each half is ordered recursively and the slab
+        (the separator) comes last.  A box too short to bisect is one leaf,
+        in node order.  Eliminating in this order confines fill to the
+        separators."""
+        nodes, parts = self.nodes, []
+        reach = np.max(np.abs(self.connectivity.directions), axis=0).tolist()
+
+        def dissect(index, lo, hi):  # index: the interior nodes in the box lo <= x <= hi
+            extent = [b - a + 1 for a, b in zip(lo, hi)]
+            axis = extent.index(max(extent))
+            width = reach[axis]
+            if extent[axis] < width + 2:
+                parts.append(index)
+                return
+            start = lo[axis] + (extent[axis] - width) // 2
+            coord = nodes[index, axis]
+            left, right = coord < start, coord >= start + width
+            dissect(index[left], lo, hi[:axis] + (start - 1,) + hi[axis + 1:])
+            dissect(index[right], lo[:axis] + (start + width,) + lo[axis + 1:], hi)
+            parts.append(index[~(left | right)])
+
+        dissect(np.flatnonzero(~self.boundary_mask()), (1,) * self.dimension, (self.n - 1,) * self.dimension)
+        return np.concatenate(parts)
+
+    @cached_property
     def stiffness_pattern(self) -> tuple:
-        """Scatter index (edge, sign, slot, indices, indptr) of the interior
-        stiffness matrix, built on first use.  The matrix sums, over edges, a
-        symmetric DxD block K_e at the (tail, tail) and (head, head) node
-        blocks and -K_e at (tail, head) and (head, tail), restricted to the
-        nodes off the boundary (node-major).  The flattened blocks
-        sign[b] * K_edge[b] add into data[slot]; (indices, indptr) is the CSR
-        and, by symmetry, the CSC structure."""
-        dim, interior = self.dimension, ~self.boundary_mask()
-        ends = np.where(interior, np.cumsum(interior) - 1, -1)[self.edges]  # interior index; -1 if pinned
+        """(scatter, indices, indptr) of the interior stiffness matrix, built
+        on first use.  The matrix sums, over edges, a symmetric DxD block K_e
+        at the (tail, tail) and (head, head) node blocks and -K_e at
+        (tail, head) and (head, tail), restricted to the nodes off the
+        boundary; interior degree of freedom D k + a is axis a of node
+        `interior_nodes[k]`.  `scatter` is a sparse matrix of +-1 entries
+        that maps the flattened (E, D, D) blocks onto the matrix data,
+        data = scatter @ K.ravel(); (indices, indptr) is the CSR and, by
+        symmetry, the CSC structure."""
+        import scipy.sparse as sp
+
+        dim, interior = self.dimension, self.interior_nodes
+        rank = np.full(self.n_nodes, -1)
+        rank[interior] = np.arange(interior.size)
+        ends = rank[self.edges]  # -1 if pinned
         # node blocks (tail, tail), (head, head), (tail, head), (head, tail)
         i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
         edge, which = np.nonzero((i >= 0) & (j >= 0))
         u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        m = dim * np.count_nonzero(interior)
+        m = dim * interior.size
         key = ((dim * i[edge, which, None, None] + u) * m + dim * j[edge, which, None, None] + v).ravel()
         entries, slot = np.unique(key, return_inverse=True)  # row-major: CSR order
         indptr = np.searchsorted(entries, m * np.arange(m + 1))
-        return (edge, np.array([1.0, 1.0, -1.0, -1.0])[which], slot,
-                (entries % m).astype(np.int32), indptr.astype(np.int32))
+        sign = np.repeat(np.array([1.0, 1.0, -1.0, -1.0])[which], dim * dim)
+        column = ((dim * edge[:, None, None] + u) * dim + v).ravel()
+        scatter = sp.csr_matrix((sign, (slot, column)), shape=(entries.size, self.n_edges * dim * dim))
+        return scatter, (entries % m).astype(np.int32), indptr.astype(np.int32)
 
 
 def build_sample(

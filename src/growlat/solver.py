@@ -9,10 +9,14 @@ of a homogeneous sample agree with the Cauchy-Born density at every N.
 
 Both relaxation modes are Newton methods on the exact energy, gradient and
 interior Hessian, all three built from one call of the spring kernel
-(`springs.spring_terms`) per iterate; one bincount scatters the Hessian into
-the sample's fixed CSC pattern.  `minimize` is a trust-region Newton method
+(`springs.spring_terms`) per iterate.  The interior degrees of freedom are
+numbered once per sample in nested-dissection order
+(`FiniteLatticeSample.interior_nodes`), and one fixed scatter operator maps
+the per-edge blocks onto the sample's CSC pattern, so every Hessian arrives
+already in its elimination order.  `minimize` is a trust-region Newton method
 that may leave the affine branch; `relax_branch` takes step-capped Newton
-steps, each a symmetric-mode SuperLU solve, and stays on it.
+steps, each a symmetric-mode SuperLU solve in that fixed order, and stays
+on it.
 """
 
 import dataclasses
@@ -77,7 +81,7 @@ class _Iterate:
     assembled on first use."""
 
     def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray):
-        self.sample, self.positions, self.interior = sample, positions, ~sample.boundary_mask()
+        self.sample, self.positions = sample, positions
         self._springs = d, r, (self.edge_energies, slope, _) = _edge_terms(sample, positions, 2)
         self.energy = float(np.sum(self.edge_energies))
         force = per_length(slope, r)[:, None] * d  # contribution along each edge
@@ -87,30 +91,29 @@ class _Iterate:
             - np.bincount(sample.edges[:, 0], weights=force[:, axis], minlength=m)
             for axis in range(sample.dimension)
         ], axis=1)
-        self.x = positions[self.interior].ravel()
-        self.grad = self.gradient[self.interior].ravel()
+        self.x = positions[sample.interior_nodes].ravel()
+        self.grad = self.gradient[sample.interior_nodes].ravel()
         self.grad_norm = float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
 
     @cached_property
     def hessian(self):
-        """Sparse CSC Hessian in the interior coordinates (node-major).  Per
-        edge, the DxD block of the spring energy in the edge vector d is
-        (E' / r) I + (E'' - E' / r) d d^T / r^2, with E', E'' the kernel's
-        derivatives in r.  One bincount sums the blocks into the data of the
-        sample's fixed `stiffness_pattern`."""
+        """Sparse CSC Hessian in the interior coordinates, ordered as
+        `sample.interior_nodes`.  Per edge, the DxD block of the spring
+        energy in the edge vector d is (E' / r) I + (E'' - E' / r) d d^T / r^2,
+        with E', E'' the kernel's derivatives in r.  The scatter operator of
+        the sample's fixed `stiffness_pattern` maps the blocks onto the data."""
         import scipy.sparse as sp
 
-        edge, sign, slot, indices, indptr = self.sample.stiffness_pattern
+        scatter, indices, indptr = self.sample.stiffness_pattern
         d, r, (_, slope, curvature) = self._springs
         tension = per_length(slope, r)
         block = (per_length(curvature - tension, r * r)[:, None, None] * (d[:, :, None] * d[:, None, :])
                  + tension[:, None, None] * np.eye(self.sample.dimension))
-        data = np.bincount(slot, (block[edge] * sign[:, None, None]).ravel(), minlength=indices.size)
-        return sp.csc_matrix((data, indices, indptr), shape=(self.x.size,) * 2)
+        return sp.csc_matrix((scatter @ block.ravel(), indices, indptr), shape=(self.x.size,) * 2)
 
     def moved(self, x: np.ndarray) -> "_Iterate":
         positions = self.positions.copy()
-        positions[self.interior] = x.reshape(-1, self.sample.dimension)
+        positions[self.sample.interior_nodes] = x.reshape(-1, self.sample.dimension)
         return _Iterate(self.sample, positions)
 
     def converged(self, opts: SolverOptions) -> bool:
@@ -233,9 +236,9 @@ def relax_branch(
     """Equilibrium on the unbuckled branch: Newton from the affine state,
     each step capped at a nodal displacement of 0.25, converging to the
     nearby stationary point whether or not it is stable.  Each step factors
-    the exact interior Hessian, assembled into the sample's fixed scatter
-    pattern, with SuperLU in symmetric mode: minimum-degree ordering of
-    H + H^T, diagonal pivots kept down to 1e-4 of the column maximum.
+    the exact interior Hessian with SuperLU in symmetric mode, in the
+    nested-dissection order fixed per sample (no column permutation of its
+    own), diagonal pivots kept down to 1e-4 of the column maximum.
 
     At most 60 Newton steps; opts.max_iter does not apply.  Under strong
     compression the energy also has folded minima far from the affine
@@ -252,7 +255,7 @@ def relax_branch(
     reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
     while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
         try:
-            delta = splu(it.hessian, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-4,
+            delta = splu(it.hessian, permc_spec="NATURAL", diag_pivot_thresh=1e-4,
                          options={"SymmetricMode": True}).solve(-it.grad)
         except RuntimeError:  # SuperLU: exactly singular factor
             delta = None

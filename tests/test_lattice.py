@@ -10,6 +10,7 @@ from growlat.lattice import (
     SpringLaw,
     apply_growth,
     build_sample,
+    chain_connectivity,
     checkerboard_growth,
     homogeneous_growth,
     lattice_order,
@@ -237,6 +238,39 @@ class TestBuildSample:
         f = np.array([[2.0, 0.5], [0.0, 1.0]])
         pos = s.affine_positions(f)
         assert np.allclose(pos, s.nodes @ f.T)
+
+
+class TestInteriorNodes:
+    @pytest.mark.parametrize(
+        "connectivity, n",
+        [(chain_connectivity(), n) for n in (2, 5, 64)] + [(square_connectivity(), n) for n in (2, 3, 16, 33)],
+    )
+    def test_deterministic_permutation_of_the_interior(self, connectivity, n):
+        order = build_sample(connectivity, n, 1.0).interior_nodes
+        again = build_sample(connectivity, n, 1.0).interior_nodes
+        s = build_sample(connectivity, n, 1.0, uniform_growth(((0.8, 1.2),) * len(connectivity.directions)))
+        assert np.array_equal(np.sort(order), np.nonzero(~s.boundary_mask())[0])
+        assert np.array_equal(order, again)
+        assert np.array_equal(order, s.interior_nodes)  # the order depends on the box only
+
+    @pytest.mark.parametrize(
+        "connectivity, width",
+        [(square_connectivity(), 1), (Connectivity(2, ((1, 0), (0, 1), (2, 1))), 2)],
+        ids=["square", "knight"],
+    )
+    def test_halves_first_and_separator_last(self, connectivity, width):
+        # N = 12: the 11x11 interior is split across axis 0 by a slab as wide
+        # as the longest spring step along that axis
+        s = build_sample(connectivity, 12, 1.0)
+        x = s.nodes[:, 0]
+        low = 1 + (11 - width) // 2
+        left = 11 * (low - 1)
+        order = s.interior_nodes
+        assert np.all(x[order[:left]] < low)
+        assert np.all(x[order[left:-11 * width]] >= low + width)
+        assert set(x[order[-11 * width:]]) == set(range(low, low + width))
+        ends = x[s.edges]
+        assert not np.any((ends.min(axis=1) < low) & (ends.max(axis=1) >= low + width))
 
 
 class TestHomogeneousLattice:

@@ -293,14 +293,15 @@ class TestHessian:
         ids=["q2p0", "q3p0", "q2p1", "quartic"],
     )
     def test_matches_central_differences_of_gradient(self, law):
-        s = build_sample(square_connectivity(), 3, REST, uniform_growth(((0.9, 1.1),) * 4, seed=3), law)
+        # N = 4: the 3x3 interior is dissected, so the columns follow a
+        # nontrivial elimination order
+        s = build_sample(square_connectivity(), 4, REST, uniform_growth(((0.9, 1.1),) * 4, seed=3), law)
         rng = np.random.default_rng(5)
         pos = s.affine_positions(np.eye(2)) + 0.1 * rng.standard_normal((s.n_nodes, 2))
-        interior = ~s.boundary_mask()
         h = interior_hessian(s, pos)
         step = 1e-6
         fd = np.empty_like(h)
-        for col, (node, axis) in enumerate((i, a) for i in np.nonzero(interior)[0] for a in range(2)):
+        for col, (node, axis) in enumerate((i, a) for i in s.interior_nodes for a in range(2)):
             pp, pm = pos.copy(), pos.copy()
             pp[node, axis] += step
             pm[node, axis] -= step
@@ -312,7 +313,8 @@ class TestHessian:
         s, _ = folded_datum(16)
         pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(1).standard_normal((s.n_nodes, 2))
         interior = ~s.boundary_mask()
-        index = np.cumsum(interior) - 1  # interior index of each node
+        index = np.empty(s.n_nodes, dtype=int)
+        index[s.interior_nodes] = np.arange(s.interior_nodes.size)  # rank of each node in the elimination order
         d = pos[s.edges[:, 1]] - pos[s.edges[:, 0]]
         r = np.linalg.norm(d, axis=1)
         _, slope, curvature = spring_terms(s.law, r, s.rest * s.growth, s.growth**s.law.p, 2)
@@ -382,6 +384,22 @@ class TestRelaxBranch:
         assert not report.converged
         assert report.iterations == 0
         assert "singular Hessian" in report.message
+
+    def test_nested_dissection_needs_less_fill_than_minimum_degree(self):
+        # sim2's sample at N = 64 and its affine start at lambda = 1/1.5: the
+        # fixed order, factored as it is, against minimum degree on H + H^T
+        # of the same matrix numbered node by node
+        s, boundary = folded_datum(64)
+        h = _affine_start(s, boundary).hessian
+        rank = np.empty(s.n_nodes, dtype=int)
+        rank[s.interior_nodes] = np.arange(s.interior_nodes.size)
+        node_major = (2 * rank[np.nonzero(~s.boundary_mask())[0], None] + np.arange(2)).ravel()
+
+        def fill(matrix, permc_spec):
+            lu = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
+            return lu.L.nnz + lu.U.nnz
+
+        assert fill(h, "NATURAL") < fill(h[node_major][:, node_major].tocsc(), "MMD_AT_PLUS_A")
 
     def test_every_step_of_a_failing_solve_is_accurate(self, monkeypatch):
         factorise, steps = spla.splu, []
