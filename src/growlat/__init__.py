@@ -34,6 +34,7 @@ from .continuum import (
     cauchy_born_energy,
     cauchy_born_energy_many,
     cauchy_born_gradient,
+    cauchy_born_hessian,
     correction_energy,
     decompose,
     extend_to_basis,

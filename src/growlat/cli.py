@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     p_ground = sub.add_parser("ground-state", help="ground state of the configured lattice")
 
     p_dec = sub.add_parser("decompose", help="energy-deformation decomposition of the configured lattice")
-    p_dec.add_argument("--choice", type=int, default=None,
+    p_dec.add_argument("--choice", type=int, choices=range(3), default=None,
                        help="partition choice index for the square lattice (0, 1 or 2)")
 
     p_check = sub.add_parser("check", help="analytic identity suites")

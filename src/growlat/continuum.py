@@ -10,6 +10,10 @@ single linear map cannot rescale more than D independent directions, the
 grown density generally cannot be written as W_i(F G^{-1}); it can always
 be split additively into K parts (K = lattice order), each carrying its
 own growth tensor G_k with G_k^{-1} v = v / g_v on its direction class.
+
+The density's gradient and Hessian in F share the spring kernel and Hessian
+block with the discrete solver; the ground state of a grown density is one
+Newton solve on that exact Hessian over upper-triangular F.
 """
 
 import math
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Connectivity, HomogeneousLattice, OrderResult, lattice_order, square_connectivity
-from .springs import per_length, spring_terms
+from .springs import per_length, spring_hessian_block, spring_terms
 
 GEOMETRIC_TOL = 1e-10
 
@@ -70,6 +74,17 @@ def cauchy_born_gradient(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarr
     norms = np.linalg.norm(mapped, axis=-1)
     _, slope = _cauchy_born_terms(lattice, norms, 1)
     return np.einsum("a,ai,aj->ij", per_length(slope, norms), mapped, lattice.connectivity.matrix)
+
+
+def cauchy_born_hessian(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarray:
+    """d2W / dF_ij dF_kl = sum_v B(F v)[i, k] v_j v_l as an array [i, j, k, l],
+    with B the discrete solver's `springs.spring_hessian_block`."""
+    directions = lattice.connectivity.matrix
+    mapped = mapped_directions(directions, f)
+    norms = np.linalg.norm(mapped, axis=-1)
+    _, slope, curvature = _cauchy_born_terms(lattice, norms, 2)
+    block = spring_hessian_block(mapped, norms, slope, curvature)
+    return np.einsum("aik,aj,al->ijkl", block, directions, directions)
 
 
 # ---------------------------------------------------------------------------
@@ -324,94 +339,66 @@ class GroundState:
     f: np.ndarray          # upper-triangular with positive diagonal
     energy: float
     grad_norm: float       # infinity norm of the chart gradient
-    iterations: int
+    iterations: int        # Newton steps on the chart
 
 
 class GroundStateError(RuntimeError):
     pass
 
 
-def _chart_value_grad(lattice: HomogeneousLattice, x: np.ndarray):
-    f = np.array([[x[0], x[2]], [0.0, x[1]]])
-    e = cauchy_born_energy(lattice, f)
-    g = cauchy_born_gradient(lattice, f)
-    return e, np.array([g[0, 0], g[1, 1], g[0, 1]])
+# the chart (F00, F11, F01) of upper-triangular F; the Newton solve on it stops at
+# max|chart gradient| <= 1e-12, after 200 steps, or when 60 halvings find no step
+_CHART = (np.array([0, 1, 0]), np.array([0, 1, 1]))
+_GROUND_GTOL, _GROUND_MAX_STEPS, _GROUND_MAX_HALVINGS = 1e-12, 200, 60
 
 
-def ground_state(
-    lattice: HomogeneousLattice,
-    *,
-    gtol: float = 1e-10,
-    max_iter: int = 10_000,
-    n_starts: int = 5,
-    seed: int = 0,
-) -> GroundState:
+def ground_state(lattice: HomogeneousLattice) -> GroundState:
     """Minimise the Cauchy-Born energy over upper-triangular deformation
     gradients with positive diagonal (the rotation gauge is fixed by that
-    chart).  Quasi-Newton descent from the identity plus jittered restarts,
-    finished by Newton polishing on the 3-parameter chart.
-    """
-    from scipy.optimize import minimize as scipy_minimize
+    chart).
 
+    One Newton solve from the identity on the chart (F00, F11, F01) with the
+    exact Hessian from `cauchy_born_hessian`.  Negative curvature is flipped:
+    the step divides by |lambda| in the Hessian's eigenbasis (Nocedal &
+    Wright, sec. 3.4).  A step is taken if the energy falls, or if the
+    Hessian is positive definite and max|grad| falls (an energy-only test
+    stalls at rounding short of 1e-12); otherwise it is halved.  A negative
+    diagonal is mapped back by the reflections W(QF) = W(F):
+    (F00, F01) -> -(F00, F01) and F11 -> -F11.  Raises GroundStateError if
+    max|grad| ends above 1e-8.
+    """
     if lattice.connectivity.dimension != 2:
         raise ValueError("ground states are computed for two-dimensional lattices")
 
-    rng = np.random.default_rng(seed)
-    starts = [np.array([1.0, 1.0, 0.0])]
-    for _ in range(n_starts):
-        starts.append(starts[0] + rng.uniform(-0.2, 0.2, 3))
+    def chart_point(x):
+        f = np.array([[x[0], x[2]], [0.0, x[1]]])
+        return f, cauchy_born_energy(lattice, f), cauchy_born_gradient(lattice, f)[_CHART]
 
-    best = None
-    total_iters = 0
-    for x0 in starts:
-        x0 = np.array([max(x0[0], 0.05), max(x0[1], 0.05), x0[2]])
-        res = scipy_minimize(
-            lambda x: _chart_value_grad(lattice, x),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(1e-8, None), (1e-8, None), (None, None)],
-            options={"maxiter": max_iter, "ftol": 1e-18, "gtol": gtol},
-        )
-        total_iters += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
-
-    # Newton polish on the chart; the Hessian is finite-differenced from the
-    # analytic gradient
-    x = np.asarray(best.x, dtype=float)
-    e, g = _chart_value_grad(lattice, x)
-    for _ in range(20):
-        if np.max(np.abs(g)) <= 1e-12:
-            break
-        h = np.empty((3, 3))
-        step = 1e-6
-        for j in range(3):
-            xp = x.copy()
-            xp[j] += step
-            xm = x.copy()
-            xm[j] -= step
-            h[:, j] = (_chart_value_grad(lattice, xp)[1] - _chart_value_grad(lattice, xm)[1]) / (2 * step)
-        try:
-            delta = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
-        xn = x + delta
-        if xn[0] <= 0 or xn[1] <= 0:
-            break
-        en, gn = _chart_value_grad(lattice, xn)
-        if np.max(np.abs(gn)) >= np.max(np.abs(g)):
-            break
-        x, e, g = xn, en, gn
-        total_iters += 1
+    x = np.array([1.0, 1.0, 0.0])
+    f, e, g = chart_point(x)
+    steps = 0
+    while np.max(np.abs(g)) > _GROUND_GTOL and steps < _GROUND_MAX_STEPS:
+        lam, vec = np.linalg.eigh(cauchy_born_hessian(lattice, f)[_CHART][:, _CHART[0], _CHART[1]])
+        step = -vec @ ((vec.T @ g) / np.maximum(np.abs(lam), np.finfo(float).tiny))
+        for _ in range(_GROUND_MAX_HALVINGS):
+            trial = chart_point(x + step)
+            if trial[1] < e or (lam[0] > 0 and np.max(np.abs(trial[2])) < np.max(np.abs(g))):
+                break
+            step = step / 2
+        else:
+            break  # no halving lowers the energy or the gradient: stalled at rounding
+        x, (f, e, g) = x + step, trial
+        steps += 1
 
     grad_norm = float(np.max(np.abs(g)))
     if grad_norm > 1e-8:
         raise GroundStateError(
             f"ground-state search did not converge: |grad| = {grad_norm:.3e} "
-            f"after {total_iters} iterations (energy {e:.6e}, chart {x})"
+            f"after {steps} Newton steps (energy {e:.6e}, chart {x})"
         )
-    return GroundState(upper_triangular(x[0], x[1], x[2]), float(e), grad_norm, total_iters)
+    if x[0] < 0:
+        x[[0, 2]] *= -1.0
+    return GroundState(upper_triangular(x[0], abs(x[1]), x[2]), float(e), grad_norm, steps)
 
 
 # ---------------------------------------------------------------------------

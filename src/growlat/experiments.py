@@ -166,14 +166,16 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         )
         lams, fs = homogenize.sample_family(family)
         tag = f"{name}_{fam_kind}"
+        params = np.reshape(lams, (len(lams), -1))  # one column per parameter of the family
+        columns = ["lam1", "lam2", "lam3"] if family.kind == "box-grid" else ["lambda"]
 
         if name == "sim4":
             init_targets = homogenize.measured_energies(initial_sample, fs, opts, mode)
             rest_fit = homogenize.fit_rest_lengths(fs, init_targets, law, co)
             representative = homogenize.fitted_representative(rest_fit, co, law)
             summary["fits"][f"{fam_kind}_rest"] = _fit_summary(rest_fit)
-            rows = [[lam, t, e] for lam, t, e in zip(lams, init_targets, rest_fit.errors)]
-            write_csv(out / f"{tag}_rest_curves.csv", ["lambda", "true_energy", "fractional_error"], rows)
+            rows = [[*lam, t, e] for lam, t, e in zip(params, init_targets, rest_fit.errors)]
+            write_csv(out / f"{tag}_rest_curves.csv", columns + ["true_energy", "fractional_error"], rows)
         else:
             representative = lattice.HomogeneousLattice(co, rest, (), law)
         dec = continuum.decompose(representative, continuum.square_partition_choices()[0])
@@ -182,8 +184,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         fit = homogenize.fit_growth(dec, fs, targets, ansatz)
         summary["fits"][fam_kind] = _fit_summary(fit)
         model = np.where(np.isfinite(fit.errors), targets * (1.0 - fit.errors), np.nan)
-        rows = [[lam, t, m, e] for lam, t, m, e in zip(lams, targets, model, fit.errors)]
-        write_csv(out / f"{tag}_curves.csv", ["lambda", "true_energy", "homogenized_energy", "fractional_error"], rows)
+        rows = [[*lam, t, m, e] for lam, t, m, e in zip(params, targets, model, fit.errors)]
+        write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"], rows)
 
     if name == "sim1" and config.get("convergence", True):
         ns = [int(x) for x in config.get("ns", (8, 16, 32, 64))]

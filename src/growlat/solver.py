@@ -9,14 +9,15 @@ of a homogeneous sample agree with the Cauchy-Born density at every N.
 
 Both relaxation modes are Newton methods on the exact energy, gradient and
 interior Hessian, all three built from one call of the spring kernel
-(`springs.spring_terms`) per iterate.  The interior degrees of freedom are
-numbered once per sample in nested-dissection order
-(`FiniteLatticeSample.interior_nodes`), and one fixed scatter operator maps
-the per-edge blocks onto the sample's CSC pattern, so every Hessian arrives
-already in its elimination order.  `minimize` is a trust-region Newton method
-that may leave the affine branch; `relax_branch` takes step-capped Newton
-steps, each a symmetric-mode SuperLU solve in that fixed order, and stays
-on it.
+(`springs.spring_terms`) per iterate; the per-edge Hessian blocks come from
+`springs.spring_hessian_block`, which the Cauchy-Born Hessian shares.  The
+interior degrees of freedom are numbered once per sample in nested-dissection
+order (`FiniteLatticeSample.interior_nodes`), and one fixed scatter operator
+maps the per-edge blocks onto the sample's CSC pattern, so every Hessian
+arrives already in its elimination order.  `minimize` is a trust-region
+Newton method that may leave the affine branch; `relax_branch` takes
+step-capped Newton steps, each a symmetric-mode SuperLU solve in that fixed
+order, and stays on it.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import FiniteLatticeSample, build_sample, chain_connectivity
-from .springs import SpringLaw, per_length, profile_energy, spring_terms
+from .springs import SpringLaw, per_length, profile_energy, spring_hessian_block, spring_terms
 
 
 class ConvergenceError(RuntimeError):
@@ -98,17 +99,15 @@ class _Iterate:
     @cached_property
     def hessian(self):
         """Sparse CSC Hessian in the interior coordinates, ordered as
-        `sample.interior_nodes`.  Per edge, the DxD block of the spring
-        energy in the edge vector d is (E' / r) I + (E'' - E' / r) d d^T / r^2,
-        with E', E'' the kernel's derivatives in r.  The scatter operator of
-        the sample's fixed `stiffness_pattern` maps the blocks onto the data."""
+        `sample.interior_nodes`.  Per edge, `springs.spring_hessian_block`
+        gives the DxD block of the spring energy in the edge vector; the
+        scatter operator of the sample's fixed `stiffness_pattern` maps the
+        blocks onto the data."""
         import scipy.sparse as sp
 
         scatter, indices, indptr = self.sample.stiffness_pattern
         d, r, (_, slope, curvature) = self._springs
-        tension = per_length(slope, r)
-        block = (per_length(curvature - tension, r * r)[:, None, None] * (d[:, :, None] * d[:, None, :])
-                 + tension[:, None, None] * np.eye(self.sample.dimension))
+        block = spring_hessian_block(d, r, slope, curvature)
         return sp.csc_matrix((scatter @ block.ravel(), indices, indptr), shape=(self.x.size,) * 2)
 
     def moved(self, x: np.ndarray) -> "_Iterate":

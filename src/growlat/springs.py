@@ -102,3 +102,13 @@ def per_length(values, r):
     """values / r, with 0 where r = 0: a collapsed spring has no direction,
     so it exerts no force along one."""
     return np.where(r > 0, values / np.where(r > 0, r, 1.0), 0.0)
+
+
+def spring_hessian_block(d, r, slope, curvature):
+    """Per spring, the DxD second derivative of its energy E(||d||) in its
+    vector d: (E' / r) I + (E'' - E' / r) d d^T / r^2, with r = ||d|| and
+    E' = slope, E'' = curvature from `spring_terms`.  Shared by the discrete
+    and the Cauchy-Born Hessians; shape (..., D, D)."""
+    tension = per_length(slope, r)
+    return (per_length(curvature - tension, r * r)[..., None, None] * (d[..., :, None] * d[..., None, :])
+            + tension[..., None, None] * np.eye(d.shape[-1]))

@@ -114,3 +114,42 @@ def test_decompose_axis_growth_into_diagonal_tensors(tmp_path):
     payload = json.loads((tmp_path / "decomposition.json").read_text())
     assert payload["partition"] == [[0, 1], [2, 3]]
     assert np.allclose(payload["growth_tensors"], [[1.1, 0.0, 0.0, 0.9], [1.0, 0.0, 0.0, 1.0]], rtol=0.0, atol=1e-12)
+
+
+def test_decompose_rejects_choices_outside_0_to_2(tmp_path):
+    for choice in ("3", "-1"):
+        result = run_cli(tmp_path, "decompose", "--choice", choice)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "invalid choice" in result.stderr
+    assert not (tmp_path / "decomposition.json").exists()
+
+
+def write_box_config(tmp_path, **extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"count": 2, **extra}))
+    return str(path)
+
+
+def test_box_grid_curves_write_one_column_per_parameter(tmp_path):
+    result = run_cli(tmp_path, "--config", write_box_config(tmp_path), "simulate", "sim1",
+                     "--family", "box", "--n", "4", "--no-convergence")
+    assert result.returncode == 0, result.stderr
+    header, *rows = read_csv(tmp_path / "sim1_box-grid_curves.csv")
+    assert header == ["lam1", "lam2", "lam3", "true_energy", "homogenized_energy", "fractional_error"]
+    assert len(rows) == 8  # 2 x 2 x 2 box corners
+    values = np.array([[float(cell) for cell in row] for row in rows])
+    assert set(values[:, 0]) == set(values[:, 1]) == {0.8, 1.25}
+    assert set(values[:, 2]) == {-0.25, 0.25}
+
+
+def test_sim4_box_grid_rest_curves_write_one_column_per_parameter(tmp_path):
+    # the branch solve of sim4 stops at sample 0, so this run relaxes with `minimize`
+    config = write_box_config(tmp_path, relaxation="minimize")
+    result = run_cli(tmp_path, "--config", config, "simulate", "sim4", "--family", "box", "--n", "4",
+                     "--no-convergence")
+    assert result.returncode == 0, result.stderr
+    header, *rows = read_csv(tmp_path / "sim4_box-grid_rest_curves.csv")
+    assert header == ["lam1", "lam2", "lam3", "true_energy", "fractional_error"]
+    assert len(rows) == 8
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row)

@@ -10,6 +10,7 @@ from growlat.continuum import (
     cauchy_born_energy,
     cauchy_born_energy_many,
     cauchy_born_gradient,
+    cauchy_born_hessian,
     correction_energy,
     decompose,
     extend_to_basis,
@@ -79,6 +80,43 @@ class TestCauchyBorn:
                     fm[i, j] -= h
                     fd = (cauchy_born_energy(lat, fp) - cauchy_born_energy(lat, fm)) / (2 * h)
                     assert g[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+class Quartic:
+    """Custom stretch profile (x - 1)**4, outside the power-law family."""
+
+    def value(self, x):
+        return (np.asarray(x) - 1.0) ** 4
+
+    def deriv(self, x):
+        return 4.0 * (np.asarray(x) - 1.0) ** 3
+
+    def second(self, x):
+        return 12.0 * (np.asarray(x) - 1.0) ** 2
+
+
+class TestCauchyBornHessian:
+    @pytest.mark.parametrize(
+        "law", [SpringLaw(2, 0.0), SpringLaw(3, 0.0), SpringLaw(2, 1.0), SpringLaw(profile=Quartic())],
+        ids=["q2p0", "q3p0", "q2p1", "quartic"],
+    )
+    def test_matches_central_differences_of_gradient(self, law):
+        rng = np.random.default_rng(6)
+        lat = apply_growth(square_lattice(law=law), (1.1, 0.95, 1.05, 0.9))
+        step = 1e-6
+        for _ in range(5):
+            f = random_invertible(rng)
+            h = cauchy_born_hessian(lat, f)
+            assert h.shape == (2, 2, 2, 2)
+            fd = np.empty_like(h)
+            for k in range(2):
+                for l in range(2):
+                    fp, fm = f.copy(), f.copy()
+                    fp[k, l] += step
+                    fm[k, l] -= step
+                    fd[:, :, k, l] = (cauchy_born_gradient(lat, fp) - cauchy_born_gradient(lat, fm)) / (2 * step)
+            assert np.allclose(h, fd, rtol=1e-6, atol=1e-8)
+            assert np.allclose(h, h.transpose(2, 3, 0, 1), rtol=0.0, atol=1e-14)
 
 
 class TestShears:
@@ -283,7 +321,27 @@ class TestGroundState:
     def test_gradient_norm_bound(self):
         gs = ground_state(apply_growth(square_lattice(), (1, 1, 0.9, 1.1)))
         g = cauchy_born_gradient(apply_growth(square_lattice(), (1, 1, 0.9, 1.1)), gs.f)
-        assert max(abs(g[0, 0]), abs(g[1, 1]), abs(g[0, 1])) <= 1e-6
+        assert max(abs(g[0, 0]), abs(g[1, 1]), abs(g[0, 1])) <= 1e-12
+
+    def test_collapsed_ground_state(self):
+        # the ground state has F11 near 0, where a search bounded at F11 >= 1e-8 stalls
+        growth = (1.9447659867840599, 0.3317377231271011, 0.511433662510538, 1.874584074149185)
+        lat = apply_growth(square_lattice(), growth)
+        gs = ground_state(lat)
+        assert gs.grad_norm <= 1e-12
+        assert 0 < gs.f[1, 1] <= 1e-12
+        g = cauchy_born_gradient(lat, gs.f)
+        assert max(abs(g[0, 0]), abs(g[1, 1]), abs(g[0, 1])) <= 1e-12
+
+    def test_random_lattices_converge_with_positive_diagonal(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            law = SpringLaw(q=int(rng.choice([2, 3, 4])))
+            lat = apply_growth(square_lattice(law=law), rng.uniform(0.3, 3.0, 4))
+            gs = ground_state(lat)
+            assert gs.f[0, 0] > 0 and gs.f[1, 1] > 0 and gs.f[1, 0] == 0
+            assert gs.grad_norm <= 1e-12
+            assert gs.energy == cauchy_born_energy(lat, gs.f)
 
     def test_rejects_one_dimensional(self):
         lat = HomogeneousLattice(Connectivity(1, ((1,),)), (1.0,), (), SpringLaw())
