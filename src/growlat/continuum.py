@@ -41,8 +41,10 @@ def upper_triangular(lam1: float, lam2: float, lam3: float) -> np.ndarray:
 
 def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
     """Images F v of the directions v under a stack of deformation gradients;
-    shape (..., n_dirs, D)."""
-    return np.einsum("...ij,aj->...ai", np.asarray(fs, dtype=float), np.asarray(directions, dtype=float))
+    shape (..., n_dirs, D).  One matmul against the direction matrix; for
+    integer directions in two dimensions each entry is a sum of two exact
+    products, so it is the same to the bit however the sum is taken."""
+    return np.swapaxes(np.asarray(fs, dtype=float) @ np.asarray(directions, dtype=float).T, -1, -2)
 
 
 def mapped_lengths(directions, fs: np.ndarray) -> np.ndarray:
@@ -346,8 +348,9 @@ class GroundStateError(RuntimeError):
     pass
 
 
-# the chart (F00, F11, F01) of upper-triangular F; the Newton solve on it stops at
-# max|chart gradient| <= 1e-12, after 200 steps, or when 60 halvings find no step
+# the chart (F00, F11, F01) of upper-triangular F; the Newton solve on it stops when
+# max|chart gradient| and max|Newton step| are both <= 1e-12, after 200 steps, or
+# when 60 halvings find no step
 _CHART = (np.array([0, 1, 0]), np.array([0, 1, 1]))
 _GROUND_GTOL, _GROUND_MAX_STEPS, _GROUND_MAX_HALVINGS = 1e-12, 200, 60
 
@@ -362,10 +365,13 @@ def ground_state(lattice: HomogeneousLattice) -> GroundState:
     the step divides by |lambda| in the Hessian's eigenbasis (Nocedal &
     Wright, sec. 3.4).  A step is taken if the energy falls, or if the
     Hessian is positive definite and max|grad| falls (an energy-only test
-    stalls at rounding short of 1e-12); otherwise it is halved.  A negative
-    diagonal is mapped back by the reflections W(QF) = W(F):
-    (F00, F01) -> -(F00, F01) and F11 -> -F11.  Raises GroundStateError if
-    max|grad| ends above 1e-8.
+    stalls at rounding short of 1e-12); otherwise it is halved.  The solve
+    stops, without taking the step, once max|grad| and the max-norm of the
+    Newton step are both at most 1e-12: at a flat minimum the gradient
+    vanishes faster than the distance to it, so a small gradient alone
+    does not pin G.  A negative diagonal is mapped back by the reflections
+    W(QF) = W(F): (F00, F01) -> -(F00, F01) and F11 -> -F11.  Raises
+    GroundStateError if max|grad| ends above 1e-8.
     """
     if lattice.connectivity.dimension != 2:
         raise ValueError("ground states are computed for two-dimensional lattices")
@@ -377,9 +383,11 @@ def ground_state(lattice: HomogeneousLattice) -> GroundState:
     x = np.array([1.0, 1.0, 0.0])
     f, e, g = chart_point(x)
     steps = 0
-    while np.max(np.abs(g)) > _GROUND_GTOL and steps < _GROUND_MAX_STEPS:
+    while steps < _GROUND_MAX_STEPS:
         lam, vec = np.linalg.eigh(cauchy_born_hessian(lattice, f)[_CHART][:, _CHART[0], _CHART[1]])
         step = -vec @ ((vec.T @ g) / np.maximum(np.abs(lam), np.finfo(float).tiny))
+        if max(np.max(np.abs(g)), np.max(np.abs(step))) <= _GROUND_GTOL:
+            break
         for _ in range(_GROUND_MAX_HALVINGS):
             trial = chart_point(x + step)
             if trial[1] < e or (lam[0] > 0 and np.max(np.abs(trial[2])) < np.max(np.abs(g))):
@@ -425,14 +433,15 @@ class ErrorMap:
         return float(mask.sum() / n_def) if n_def else float("nan")
 
     def to_csv(self, path):
-        """One row (lam1, lam2, lam3, error, mask flags...) per grid point, lam3 fastest."""
+        """One row (lam1, lam2, lam3, error, mask flags...) per grid point, lam3
+        fastest; the grid, the errors and the masks go to `write_csv` as numpy
+        columns, so floats are written with `repr` and flags as 0 or 1."""
         from .serialize import write_csv
 
         thresholds = sorted(self.masks)
         header = ["lam1", "lam2", "lam3", "error"] + [f"mask_{int(round(t * 100))}" for t in thresholds]
         grid = [axis.ravel() for axis in np.meshgrid(self.lam1, self.lam2, self.lam3, indexing="ij")]
-        masks = [self.masks[t].ravel() for t in thresholds]
-        write_csv(path, header, zip(*grid, self.values.ravel(), *masks))
+        write_csv(path, header, [*grid, self.values.ravel(), *(self.masks[t].ravel() for t in thresholds)])
 
 
 def fractional_error_map(
@@ -450,8 +459,13 @@ def fractional_error_map(
 
     The growth tensor defaults to the ground state of the grown lattice.
     Grid points where the grown energy vanishes are flagged undefined and
-    excluded from the threshold masks.
+    excluded from the threshold masks.  Raises ValueError unless `counts` is
+    three positive integers.
     """
+    if np.shape(counts) != (3,) or not all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in counts
+    ):
+        raise ValueError(f"grid counts must be three positive integers, got {counts!r}")
     if initial.connectivity != grown.connectivity:
         raise ValueError("initial and grown lattices must share a connectivity")
     if initial.rest != grown.rest or initial.law != grown.law:

@@ -47,7 +47,7 @@ def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dic
         raise ValueError(f"unknown example {name!r}; choose from {sorted(EXAMPLE_GROWTH)}")
     config = dict(config or {})
     law = _law(config)
-    counts = tuple(config.get("grid_counts", (46, 46, 41)))
+    counts = config.get("grid_counts", (46, 46, 41))
     thresholds = (0.10, 0.20) if name == "ex7" else (0.10,)
 
     initial = lattice.square_lattice(law=law)
@@ -174,8 +174,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
             rest_fit = homogenize.fit_rest_lengths(fs, init_targets, law, co)
             representative = homogenize.fitted_representative(rest_fit, co, law)
             summary["fits"][f"{fam_kind}_rest"] = _fit_summary(rest_fit)
-            rows = [[*lam, t, e] for lam, t, e in zip(params, init_targets, rest_fit.errors)]
-            write_csv(out / f"{tag}_rest_curves.csv", columns + ["true_energy", "fractional_error"], rows)
+            write_csv(out / f"{tag}_rest_curves.csv", columns + ["true_energy", "fractional_error"],
+                      [*params.T, init_targets, rest_fit.errors])
         else:
             representative = lattice.HomogeneousLattice(co, rest, (), law)
         dec = continuum.decompose(representative, continuum.square_partition_choices()[0])
@@ -184,8 +184,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         fit = homogenize.fit_growth(dec, fs, targets, ansatz)
         summary["fits"][fam_kind] = _fit_summary(fit)
         model = np.where(np.isfinite(fit.errors), targets * (1.0 - fit.errors), np.nan)
-        rows = [[*lam, t, m, e] for lam, t, m, e in zip(params, targets, model, fit.errors)]
-        write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"], rows)
+        write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"],
+                  [*params.T, targets, model, fit.errors])
 
     if name == "sim1" and config.get("convergence", True):
         ns = [int(x) for x in config.get("ns", (8, 16, 32, 64))]
@@ -198,13 +198,12 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
             lambda nn: lattice.build_sample(co, nn, rest, scenario, law),
             ns, fs, lambda nn: dec, ansatz, solver_opts=opts, mode=mode,
         )
-        rows = []
-        for row in study.rows:
-            p = row.fit.parameters
-            rows.append([row.n, p.get("gamma_1"), p.get("gamma_plus"), p.get("gamma_minus"),
-                         row.fit.relative_mse, row.fit.mse_sum])
+        fits = [row.fit for row in study.rows]
         write_csv(out / "sim1_convergence.csv",
-                  ["n", "gamma_1", "gamma_plus", "gamma_minus", "mse_mean", "mse_sum"], rows)
+                  ["n", "gamma_1", "gamma_plus", "gamma_minus", "mse_mean", "mse_sum"],
+                  [[row.n for row in study.rows],
+                   *([fit.parameters.get(k) for fit in fits] for k in ("gamma_1", "gamma_plus", "gamma_minus")),
+                   [fit.relative_mse for fit in fits], [fit.mse_sum for fit in fits]])
         summary["convergence"] = {
             "ns": ns,
             "drift": study.drift,
@@ -233,21 +232,21 @@ def _run_sim2_sweep(out, config, law, opts):
         lattice.HomogeneousLattice(co, rest, (), law), continuum.square_partition_choices()[0]
     )
     ansatz = homogenize.GrowthAnsatz("isotropic", "isotropic")
-    rows = []
-    surface = []
-    for dhv in deltas_hv:
-        for dd in deltas_d:
-            iv_hv = (1.0 - dhv, 1.0 + dhv)
-            iv_d = (1.0 - dd, 1.0 + dd)
-            scenario = lattice.uniform_growth((iv_hv, iv_hv, iv_d, iv_d), seed=seed)
-            sample = lattice.build_sample(co, n, rest, scenario, law)
-            targets = homogenize.measured_energies(sample, fs, opts, mode)
-            fit = homogenize.fit_growth(dec, fs, targets, ansatz)
-            rows.append([dhv, dd, fit.parameters["gamma_1"], fit.parameters["gamma_2"],
-                         fit.relative_mse, fit.max_abs_error])
-            surface.append({"delta_hv": dhv, "delta_d": dd, **_fit_summary(fit)})
+    deltas = [(dhv, dd) for dhv in deltas_hv for dd in deltas_d]
+    fits = []
+    for dhv, dd in deltas:
+        iv_hv = (1.0 - dhv, 1.0 + dhv)
+        iv_d = (1.0 - dd, 1.0 + dd)
+        scenario = lattice.uniform_growth((iv_hv, iv_hv, iv_d, iv_d), seed=seed)
+        sample = lattice.build_sample(co, n, rest, scenario, law)
+        targets = homogenize.measured_energies(sample, fs, opts, mode)
+        fits.append(homogenize.fit_growth(dec, fs, targets, ansatz))
     write_csv(out / "sim2_sweep.csv",
-              ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"], rows)
+              ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"],
+              [[dhv for dhv, _ in deltas], [dd for _, dd in deltas],
+               *([fit.parameters[k] for fit in fits] for k in ("gamma_1", "gamma_2")),
+               [fit.relative_mse for fit in fits], [fit.max_abs_error for fit in fits]])
+    surface = [{"delta_hv": dhv, "delta_d": dd, **_fit_summary(fit)} for (dhv, dd), fit in zip(deltas, fits)]
     summary = {
         "config": {"simulation": "sim2-sweep", "n": n, "q": law.q, "p": law.p, "seed": seed,
                    "deltas_hv": deltas_hv, "deltas_d": deltas_d, "count": count},
@@ -271,23 +270,23 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
     f_values = [float(x) for x in config.get("f_values", (2.0,))]
     ns = [int(x) for x in config.get("ns", (16, 32, 64, 128, 256, 512))]
 
-    rows = []
+    chains = []  # one per (f, n), n fastest
     results = []
     for f in f_values:
         continuum_value = solver.one_d_continuum_energy(profile, law, rest, f)
         errors = []
         for n in ns:
-            chain = solver.one_d_chain_energy(profile, n, rest, law, f, _solver_opts(config))
-            err = abs(chain - continuum_value)
-            rows.append([f, n, chain, continuum_value, err])
-            errors.append(err)
+            chains.append(solver.one_d_chain_energy(profile, n, rest, law, f, _solver_opts(config)))
+            errors.append(abs(chains[-1] - continuum_value))
         # observed convergence order from the last grid doubling
         if len(ns) >= 2 and errors[-1] > 0:
             rate = math.log(errors[-2] / errors[-1]) / math.log(ns[-1] / ns[-2])
         else:
             rate = float("inf")
         results.append({"f": f, "continuum": continuum_value, "errors": errors, "rate": rate})
-    write_csv(out / "oned_convergence.csv", ["f", "n", "chain_energy", "continuum_energy", "abs_error"], rows)
+    write_csv(out / "oned_convergence.csv", ["f", "n", "chain_energy", "continuum_energy", "abs_error"],
+              [[r["f"] for r in results for _ in ns], ns * len(results), chains,
+               [r["continuum"] for r in results for _ in ns], [e for r in results for e in r["errors"]]])
     summary = {
         "config": {"profile": profile_spec, "rest": rest, "q": law.q, "p": law.p, "f_values": f_values, "ns": ns},
         "results": results,

@@ -153,3 +153,18 @@ def test_sim4_box_grid_rest_curves_write_one_column_per_parameter(tmp_path):
     assert header == ["lam1", "lam2", "lam3", "true_energy", "fractional_error"]
     assert len(rows) == 8
     assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def test_error_map_rejects_grids_that_are_not_three_positive_integers(tmp_path):
+    # [10, 10] used to die with an IndexError; [0, 10, 10] exited 0 with "nan of the sampled domain"
+    for counts in ([10, 10], [0, 10, 10]):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_counts": counts}))
+        result = run_cli(tmp_path, "--config", str(config), "error-map", "ex7")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "three positive integers" in lines[0]
+        assert result.stdout == ""
+    assert not (tmp_path / "ex7_error_map.csv").exists()

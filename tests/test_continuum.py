@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from growlat.continuum import (
     fractional_error_map,
     ground_state,
     is_shear,
+    mapped_directions,
     multiplicative_admissible,
     rotation,
     shear_family,
@@ -25,6 +28,7 @@ from growlat.continuum import (
     upper_triangular,
 )
 from growlat.lattice import Connectivity, HomogeneousLattice, SpringLaw, apply_growth, square_lattice
+from growlat.serialize import _format_cell
 
 REST = (1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0))
 
@@ -34,6 +38,17 @@ def random_invertible(rng, scale=0.4):
         f = np.eye(2) + scale * rng.standard_normal((2, 2))
         if abs(np.linalg.det(f)) > 0.1:
             return f
+
+
+class TestMappedDirections:
+    @pytest.mark.parametrize("shape", [(7, 5, 2, 2), (2, 2)])
+    def test_matches_einsum_to_the_bit(self, shape):
+        directions = square_lattice().connectivity.matrix
+        fs = np.random.default_rng(4).standard_normal(shape)
+        expected = np.einsum("...ij,aj->...ai", fs, np.asarray(directions, dtype=float))
+        got = mapped_directions(directions, fs)
+        assert got.shape == shape[:-2] + (4, 2)
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestCauchyBorn:
@@ -308,6 +323,18 @@ class TestGroundState:
         assert np.allclose(gs.f, np.array([[1.0, -0.19], [0.0, b]]), atol=1e-6)
         assert gs.energy <= 1e-15
 
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_flat_compatible_minimum_is_pinned(self, q):
+        # ex6 at q >= 3: zero energy and a zero Hessian at G, so |grad| <= 1e-12 alone stops ~1e-4 short
+        gs = ground_state(apply_growth(square_lattice(law=SpringLaw(q=q)), (1, 1, 0.9, math.sqrt(2 - 0.81))))
+        exact = np.array([[1.0, -0.19], [0.0, math.sqrt(1 - 0.19**2)]])
+        assert np.max(np.abs(gs.f - exact)) <= 1e-10
+        assert gs.iterations < 200
+
+    def test_ex7_ground_state_is_unchanged_to_the_bit(self):
+        gs = ground_state(apply_growth(square_lattice(), (1, 1, 0.9, 1.1)))
+        assert gs.f.tolist() == [[1.0024335930305215, -0.19756854349294026], [0.0, 0.9827714785534628]]
+
     def test_optimality_against_random_perturbations(self):
         rng = np.random.default_rng(9)
         lat = apply_growth(square_lattice(), (1, 1, 0.9, 1.1))
@@ -389,6 +416,31 @@ class TestErrorMap:
     def test_requires_matching_rest(self):
         with pytest.raises(ValueError):
             fractional_error_map(square_lattice(), square_lattice(rest=(1, 1, 1.4, 1.4)))
+
+    @pytest.mark.parametrize("counts", [(10, 10), (0, 10, 10), (2, -1, 3), (2.0, 3, 4), (True, 3, 4), 10])
+    def test_rejects_grids_that_are_not_three_positive_integers(self, counts):
+        initial = square_lattice()
+        with pytest.raises(ValueError, match="three positive integers"):
+            fractional_error_map(initial, initial, counts=counts, growth_tensor=np.eye(2))
+
+    @pytest.mark.parametrize("growth,ranges,counts,undefined", [
+        ((1, 1, 0.9, 1.1), {}, (3, 4, 5), 0),
+        # an ungrown lattice on a grid through F = I, where W_g = 0 and the error is undefined
+        ((1, 1, 1, 1), {"lam1_range": (0.5, 1.5), "lam2_range": (0.5, 1.5)}, (3, 3, 5), 1),
+    ])
+    def test_csv_matches_cell_by_cell_reference(self, tmp_path, growth, ranges, counts, undefined):
+        initial = square_lattice()
+        emap = fractional_error_map(initial, apply_growth(initial, growth), counts=counts,
+                                    thresholds=(0.10, 0.20), **ranges)
+        emap.to_csv(tmp_path / "map.csv")
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["lam1", "lam2", "lam3", "error", "mask_10", "mask_20"])
+        for (i, j, k), error in np.ndenumerate(emap.values):
+            cells = [emap.lam1[i], emap.lam2[j], emap.lam3[k], error, *(emap.masks[t][i, j, k] for t in (0.10, 0.20))]
+            writer.writerow([_format_cell(x) for x in cells])
+        assert (tmp_path / "map.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+        assert int((~emap.defined).sum()) == undefined
 
     def test_csv_export(self, tmp_path):
         initial = square_lattice()

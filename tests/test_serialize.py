@@ -15,10 +15,15 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def columns_of(rows):
+    """The same cells, one list per column."""
+    return [list(column) for column in zip(*rows)]
+
+
 def test_csv_floats_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
     values = FLOATS + list(rng.standard_normal(50)) + list(np.float32([0.1, 3.3]))
-    write_csv(tmp_path / "f.csv", ["x"], [[v] for v in values])
+    write_csv(tmp_path / "f.csv", ["x"], [values])
     header, *rows = read_rows(tmp_path / "f.csv")
     assert header == ["x"]
     for (cell,), v in zip(rows, values):
@@ -27,7 +32,8 @@ def test_csv_floats_round_trip_bitwise(tmp_path):
 
 
 def test_csv_integers_and_bools_are_ints(tmp_path):
-    write_csv(tmp_path / "i.csv", ["a", "b", "c", "d", "e"], [[np.int64(7), True, np.bool_(True), np.bool_(False), 3]])
+    row = [np.int64(7), True, np.bool_(True), np.bool_(False), 3]
+    write_csv(tmp_path / "i.csv", ["a", "b", "c", "d", "e"], columns_of([row]))
     assert read_rows(tmp_path / "i.csv")[1] == ["7", "1", "1", "0", "3"]
 
 
@@ -52,38 +58,72 @@ def test_csv_chunks_match_cell_by_cell_formatting(tmp_path):
     rows = [[i, x, np.float32(x), bool(i % 3), np.int32(-i), f"t{i % 7}", x * 1e300, x * 1e-300]
             for i, x in enumerate(floats.tolist())]
     header = ["i", "x", "x32", "flag", "neg", "text", "big", "tiny"]
-    write_csv(tmp_path / "c.csv", header, rows)
+    write_csv(tmp_path / "c.csv", header, columns_of(rows))
     assert (tmp_path / "c.csv").read_bytes() == reference_csv(header, rows)
 
 
 def test_csv_special_floats_keep_their_bits(tmp_path):
     column = [-0.0, 0.0, np.float64(-0.0), float("nan"), -np.nan, np.inf, -np.inf, np.float32(0.1), 0.1]
-    write_csv(tmp_path / "s.csv", ["x"], [[x] for x in column])
+    write_csv(tmp_path / "s.csv", ["x"], [column])
     cells = [row[0] for row in read_rows(tmp_path / "s.csv")[1:]]
     assert cells == ["-0.0", "0.0", "-0.0", "nan", "nan", "inf", "-inf", repr(float(np.float32(0.1))), "0.1"]
 
 
 def test_csv_mixed_int_and_float_column_keeps_the_int(tmp_path):
-    write_csv(tmp_path / "m.csv", ["n"], [[16], [16.0], [np.int64(32)], [0.5]])
+    write_csv(tmp_path / "m.csv", ["n"], [[16, 16.0, np.int64(32), 0.5]])
     assert [row[0] for row in read_rows(tmp_path / "m.csv")[1:]] == ["16", "16.0", "32", "0.5"]
 
 
 def test_csv_none_beside_floats(tmp_path):
     rows = [[None, 1.5], [2.25, None], [None, None]]
-    write_csv(tmp_path / "n.csv", ["a", "b"], rows)
+    write_csv(tmp_path / "n.csv", ["a", "b"], columns_of(rows))
     assert (tmp_path / "n.csv").read_bytes() == reference_csv(["a", "b"], rows)
     assert read_rows(tmp_path / "n.csv")[1:] == [["None", "1.5"], ["2.25", "None"], ["None", "None"]]
 
 
-def test_csv_rows_from_a_one_shot_generator(tmp_path):
+def test_csv_columns_from_a_one_shot_generator(tmp_path):
     rows = [[float(i) / 3, i] for i in range(CHUNK_ROWS + 5)]
-    write_csv(tmp_path / "g.csv", ["x", "i"], (row for row in rows))
+    write_csv(tmp_path / "g.csv", ["x", "i"], (column for column in columns_of(rows)))
     assert (tmp_path / "g.csv").read_bytes() == reference_csv(["x", "i"], rows)
 
 
+def test_csv_numpy_columns_of_a_one_shot_generator(tmp_path):
+    x, i = np.arange(CHUNK_ROWS + 5) / 3, np.arange(CHUNK_ROWS + 5)
+    write_csv(tmp_path / "g.csv", ["x", "i"], iter((x, i)))
+    assert (tmp_path / "g.csv").read_bytes() == reference_csv(["x", "i"], zip(x, i))
+
+
 def test_csv_without_rows_has_the_header_only(tmp_path):
-    write_csv(tmp_path / "h.csv", ["a", "b"], iter(()))
+    write_csv(tmp_path / "h.csv", ["a", "b"], [[], []])
     assert (tmp_path / "h.csv").read_bytes() == b"a,b\r\n"
+
+
+NUMPY_DTYPES = (np.float64, np.float32, np.bool_, np.int32, np.int64)
+
+
+def test_csv_numpy_columns_match_cell_by_cell_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * CHUNK_ROWS + 1
+    pool = np.concatenate([rng.standard_normal(40), [np.nan, -np.nan, -0.0, 0.0, np.inf, -np.inf]])
+    x = rng.choice(pool, n)
+    before, after = (set(part.view(np.uint64).tolist()) for part in (x[:CHUNK_ROWS], x[CHUNK_ROWS:]))
+    assert before == after == set(pool.view(np.uint64).tolist())  # repeats across the chunk boundary
+    columns = [x, (x * 1e3).astype(np.float32), np.isnan(x) | (x > 0.5),
+               rng.integers(-2**31, 2**31, n).astype(np.int32), rng.integers(-2**62, 2**62, n)]
+    assert [column.dtype for column in columns] == [np.dtype(t) for t in NUMPY_DTYPES]
+    header = ["x", "x32", "flag", "i32", "i64"]
+    write_csv(tmp_path / "c.csv", header, columns)
+    rows = list(zip(*columns))  # numpy scalars, formatted one at a time
+    assert (tmp_path / "c.csv").read_bytes() == reference_csv(header, rows)
+    cells = [row[0] for row in read_rows(tmp_path / "c.csv")[1:]]
+    assert {"nan", "-0.0", "0.0", "inf", "-inf"} <= set(cells)
+    assert {row[2] for row in read_rows(tmp_path / "c.csv")[1:]} == {"0", "1"}
+
+
+@pytest.mark.parametrize("dtype", NUMPY_DTYPES)
+def test_csv_zero_length_numpy_columns_have_the_header_only(tmp_path, dtype):
+    write_csv(tmp_path / "z.csv", ["a", "b"], [np.zeros(0, dtype), np.zeros(0, dtype)])
+    assert (tmp_path / "z.csv").read_bytes() == b"a,b\r\n"
 
 
 @pytest.mark.parametrize("header,rows", [
@@ -95,12 +135,34 @@ def test_csv_without_rows_has_the_header_only(tmp_path):
 ])
 def test_csv_cells_that_need_quoting_raise(tmp_path, header, rows):
     with pytest.raises(ValueError, match="quoting"):
-        write_csv(tmp_path / "q.csv", header, rows)
+        write_csv(tmp_path / "q.csv", header, columns_of(rows))
 
 
 def test_csv_rows_need_one_cell_per_header_name(tmp_path):
-    with pytest.raises(ValueError, match="cells"):
-        write_csv(tmp_path / "r.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError, match="lengths"):
+        write_csv(tmp_path / "r.csv", ["a", "b"], [[1, 3], [2]])
+
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(3.0), np.arange(2)],
+    [np.arange(3.0), [1, 2]],
+    [[], [0.5]],
+])
+def test_csv_columns_of_unequal_lengths_raise(tmp_path, columns):
+    with pytest.raises(ValueError, match="lengths"):
+        write_csv(tmp_path / "u.csv", ["a", "b"], columns)
+    assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("columns", [[np.arange(3.0)], [np.arange(3.0)] * 3, []])
+def test_csv_needs_one_column_per_header_name(tmp_path, columns):
+    with pytest.raises(ValueError, match="columns for 2 header names"):
+        write_csv(tmp_path / "w.csv", ["a", "b"], columns)
+
+
+def test_csv_numpy_columns_must_be_one_dimensional(tmp_path):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        write_csv(tmp_path / "d.csv", ["a", "b"], [np.zeros((2, 2)), np.zeros(2)])
 
 
 def test_json_numpy_values_and_layout(tmp_path):
