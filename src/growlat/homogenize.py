@@ -97,12 +97,13 @@ def measured_energies(
     """Relaxed per-cell energy of the sample for each boundary gradient.
 
     mode "branch" (default) equilibrates on the unbuckled branch with
-    step-capped Newton from the affine state (`relax_branch`, at most 60
+    step-capped Newton from the affine state (`relax_branch`, which stops
+    at the first Newton step that is not a descent direction, or after 60
     steps); mode "minimize" runs trust-region Newton to a local minimum
     (`minimize`, at most opts.max_iter iterations), which under strong
     compression can be a folded state that the homogenised Cauchy-Born form
     cannot represent.  A solve that does not converge raises
-    ConvergenceError.
+    ConvergenceError, naming the sample index and its boundary gradient F.
     """
     if mode not in ("branch", "minimize"):
         raise ValueError(f"unknown relaxation mode {mode!r}")
@@ -111,7 +112,7 @@ def measured_energies(
     for i, f in enumerate(fs):
         report = relax(sample, AffineBoundary(f), opts)
         if not report.converged:
-            raise ConvergenceError(f"solve failed at sample {i}: {report.message}")
+            raise ConvergenceError(f"solve failed at sample {i}, F = {f.tolist()}: {report.message}")
         out[i] = report.per_cell_energy
     return out
 

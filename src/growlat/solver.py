@@ -17,7 +17,9 @@ maps the per-edge blocks onto the sample's CSC pattern, so every Hessian
 arrives already in its elimination order.  `minimize` is a trust-region
 Newton method that may leave the affine branch; `relax_branch` takes
 step-capped Newton steps, each a symmetric-mode SuperLU solve in that fixed
-order, and stays on it.
+order, stays on it, and stops at the first Newton step that is not a
+descent direction: there the Hessian is not positive definite, and the
+stable branch has ended.
 """
 
 import dataclasses
@@ -53,8 +55,9 @@ class SolverOptions:
     # convergence means max|grad| <= gtol_rel * (1 + |E|) over the interior
     # degrees of freedom, in both relaxation modes
     gtol_rel: float = 1e-8
-    # trust-region iterations of `minimize`; `relax_branch` has its own fixed
-    # step limit (_BRANCH_MAX_STEPS) and ignores this
+    # trust-region iterations of `minimize`; `relax_branch` ignores this: it
+    # stops at its own fixed step limit (_BRANCH_MAX_STEPS) or, sooner, at the
+    # first Newton step that is not a descent direction
     max_iter: int = 500
 
 
@@ -232,19 +235,28 @@ def relax_branch(
     boundary: AffineBoundary,
     opts: SolverOptions | None = None,
 ) -> SolveReport:
-    """Equilibrium on the unbuckled branch: Newton from the affine state,
-    each step capped at a nodal displacement of 0.25, converging to the
-    nearby stationary point whether or not it is stable.  Each step factors
-    the exact interior Hessian with SuperLU in symmetric mode, in the
-    nested-dissection order fixed per sample (no column permutation of its
-    own), diagonal pivots kept down to 1e-4 of the column maximum.
+    """Equilibrium on the unbuckled branch, followed only while it is
+    stable: Newton from the affine state, each step capped at a nodal
+    displacement of 0.25.  Each step factors the exact interior Hessian H
+    with SuperLU in symmetric mode, in the nested-dissection order fixed per
+    sample (no column permutation of its own), diagonal pivots kept down to
+    1e-4 of the column maximum.
 
-    At most 60 Newton steps; opts.max_iter does not apply.  Under strong
-    compression the energy also has folded minima far from the affine
-    state; `minimize` may fall into them, while the homogenised Cauchy-Born
-    form can only describe the unfolded branch.  Where the affine-adjacent
-    equilibrium is a stable minimum this returns the same state as
-    `minimize`.
+    A Newton step delta = -H^-1 g is taken only if it is a descent
+    direction.  If g.delta >= 0, H is not positive definite at this iterate:
+    the stable branch has ended (for the square lattice under compression,
+    the known loss of Cauchy-Born stability; Friesecke & Theil, J. Nonlinear
+    Sci. 12, 2002), and the solve stops unconverged without taking the step.
+    The test reuses the factorisation.  It does not certify a converged
+    state, since it can pass at an iterate whose H is indefinite.
+
+    Otherwise the solve stops unconverged after 60 Newton steps;
+    opts.max_iter does not apply.  Under strong compression the energy also
+    has folded minima far from the affine state; `minimize` may fall into
+    them, while the homogenised Cauchy-Born form can only describe the
+    unfolded branch.  Where the affine-adjacent equilibrium is a stable
+    minimum and no iterate on the way to it has an indefinite H, this
+    returns the same state as `minimize`.
     """
     from scipy.sparse.linalg import splu
 
@@ -260,6 +272,9 @@ def relax_branch(
             delta = None
         if delta is None or not np.all(np.isfinite(delta)):
             reason = "singular Hessian on the affine branch"
+            break
+        if it.grad @ delta >= 0.0:  # g.H^-1.g <= 0: H is not positive definite
+            reason = "Hessian not positive definite on the affine branch (Newton step is not a descent direction)"
             break
         biggest = float(np.max(np.abs(delta)))
         if biggest > _BRANCH_STEP_CAP:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from growlat import apply_growth, fractional_error_map, square_lattice
 from growlat.experiments import EXAMPLE_GROWTH
@@ -22,14 +23,24 @@ def run_cli(tmp_path, *args):
     )
 
 
-def test_non_converging_simulation_exits_2_without_traceback(tmp_path):
-    # sim2 on its defaults: the branch solve at lambda = 1/1.5 runs out of Newton steps
-    result = run_cli(tmp_path, "simulate", "sim2")
+def assert_stops_where_the_stable_branch_ends(result):
+    # on the defaults, the branch solve of the first dilational datum,
+    # lambda = 1/1.5, meets an indefinite Hessian
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Newton steps" in lines[0]
+    assert "sample 0, F = [[0.6666666666666666, 0.0], [0.0, 0.6666666666666666]]" in lines[0]
+    assert "Hessian not positive definite on the affine branch (Newton step is not a descent direction)" in lines[0]
+
+
+def test_non_converging_simulation_exits_2_without_traceback(tmp_path):
+    assert_stops_where_the_stable_branch_ends(run_cli(tmp_path, "simulate", "sim2"))
+
+
+@pytest.mark.parametrize("simulation", ["sim2-sweep", "sim3", "sim4"])
+def test_every_branch_simulation_names_its_failing_datum(tmp_path, simulation):
+    assert_stops_where_the_stable_branch_ends(run_cli(tmp_path, "simulate", simulation))
 
 
 def test_simulate_sim1_reaches_the_shear_optimum(tmp_path):

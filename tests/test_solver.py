@@ -21,6 +21,7 @@ from growlat.lattice import (
     uniform_growth,
 )
 from growlat.continuum import cauchy_born_energy
+from growlat.homogenize import DeformationFamily, sample_family
 from growlat.springs import spring_terms
 from growlat.solver import (
     AffineBoundary,
@@ -68,6 +69,13 @@ def folded_datum(n=6):
     unstable there and the energy has folded minima."""
     s = build_sample(square_connectivity(), n, REST, uniform_growth(((0.8, 1.2),) * 4, seed=0), LAW)
     return s, AffineBoundary(np.eye(2) / 1.5)
+
+
+def stable_datum():
+    """sim2-type growth under a stretch and shear: a stable branch state that
+    `relax_branch` reaches in 4 Newton steps."""
+    s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=5), LAW)
+    return s, AffineBoundary(np.array([[1.1, 0.1], [0.0, 1.05]]))
 
 
 class Linear:
@@ -345,12 +353,20 @@ class TestHessian:
             assert np.shares_memory(it.hessian.indptr, first.hessian.indptr)
 
 
+@pytest.fixture(scope="module")
+def sim2_dilations_n8():
+    """sim2's sample at N = 8, seed 0, and its branch solves over sim2's
+    dilational family, whose first datum is folded_datum(8)."""
+    s, _ = folded_datum(8)
+    _, fs = sample_family(DeformationFamily("dilational"))
+    return s, [relax_branch(s, AffineBoundary(f)) for f in fs]
+
+
 class TestRelaxBranch:
     def test_matches_minimize_on_a_stable_datum(self):
-        s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=5), LAW)
-        f = np.array([[1.1, 0.1], [0.0, 1.05]])
-        branch = relax_branch(s, AffineBoundary(f))
-        descent = minimize(s, AffineBoundary(f))
+        s, boundary = stable_datum()
+        branch = relax_branch(s, boundary)
+        descent = minimize(s, boundary)
         assert branch.converged and descent.converged
         assert branch.per_cell_energy == pytest.approx(descent.per_cell_energy, rel=1e-9)
         assert np.allclose(branch.positions, descent.positions, atol=1e-6)
@@ -371,12 +387,34 @@ class TestRelaxBranch:
         assert branch.converged
         assert branch.per_cell_energy == pytest.approx(minimize(s, AffineBoundary(f)).per_cell_energy, rel=1e-8)
 
-    def test_running_out_of_steps_is_reported(self):
-        s, boundary = folded_datum()
+    def test_running_out_of_steps_is_reported(self, monkeypatch):
+        s, boundary = stable_datum()
+        assert relax_branch(s, boundary).iterations == 4
+        monkeypatch.setattr(solver, "_BRANCH_MAX_STEPS", 2)
         report = relax_branch(s, boundary)
         assert not report.converged
-        assert report.iterations == 60
-        assert "Newton steps" in report.message
+        assert report.iterations == 2
+        assert "no convergence in 2 Newton steps" in report.message
+
+    def test_no_saddle_is_reported_converged_on_sim2_dilations(self, sim2_dilations_n8):
+        # Newton without the descent test converges to saddles on 4 of these
+        # data (smallest eigenvalue down to -21)
+        s, reports = sim2_dilations_n8
+        converged = [r for r in reports if r.converged]
+        assert 0 < len(converged) < len(reports)
+        for report in converged:
+            assert np.linalg.eigvalsh(interior_hessian(s, report.positions))[0] > 0.0
+
+    def test_stops_only_where_the_hessian_is_indefinite(self, sim2_dilations_n8):
+        # the descent test is sound: where it stops a solve, the interior
+        # Hessian of the reported iterate has a negative eigenvalue
+        s, reports = sim2_dilations_n8
+        stopped = [r for r in reports if not r.converged]
+        # some affine starts are already past the stable branch: no step is taken
+        assert any(r.iterations == 0 for r in stopped)
+        for report in stopped:
+            assert "Hessian not positive definite on the affine branch" in report.message
+            assert np.linalg.eigvalsh(interior_hessian(s, report.positions))[0] < 0.0
 
     def test_singular_hessian_is_reported(self):
         s = one_d_chain(linear_growth(1.0, 0.5), 4, 1.0, SpringLaw(profile=Linear()))
@@ -416,14 +454,17 @@ class TestRelaxBranch:
         monkeypatch.setattr(spla, "splu", recording_splu)
         s, boundary = folded_datum(16)
         report = relax_branch(s, boundary)
-        assert not report.converged and report.iterations == len(steps) == 60
+        # the last solve gives a step that is not a descent direction, and
+        # the solve stops without taking it
+        assert not report.converged and len(steps) == report.iterations + 1
         # replay the iterates: each step solves H delta = -g with the exact
         # Hessian and gradient of its iterate
         it = _affine_start(s, boundary)
-        for delta in steps:
+        for delta in steps[:-1]:
             assert np.max(np.abs(it.hessian @ delta + it.grad)) <= 1e-8 * np.max(np.abs(it.grad))
             it = it.moved(it.x + delta * min(1.0, 0.25 / np.max(np.abs(delta))))
         assert np.array_equal(it.positions, report.positions)
+        assert it.grad @ steps[-1] >= 0.0
 
 
 class TestFoldedMinimize:
