@@ -98,8 +98,8 @@ def measured_energies(
 
     mode "branch" (default) equilibrates on the unbuckled branch with
     step-capped Newton from the affine state (`relax_branch`, which stops
-    at the first Newton step that is not a descent direction, or after 60
-    steps); mode "minimize" runs trust-region Newton to a local minimum
+    at the first iterate whose Hessian is not positive definite, or after
+    60 steps); mode "minimize" runs trust-region Newton to a local minimum
     (`minimize`, at most opts.max_iter iterations), which under strong
     compression can be a folded state that the homogenised Cauchy-Born form
     cannot represent.  A solve that does not converge raises

@@ -280,33 +280,12 @@ class FiniteLatticeSample:
 
     @cached_property
     def interior_nodes(self) -> np.ndarray:
-        """Indices of the nodes off the boundary in nested-dissection order
-        (George, SIAM J. Numer. Anal. 10, 1973), built on first use.  The box
-        of interior nodes is bisected across its longest axis by a slab as
-        wide as the longest step of a spring along that axis, so no spring
-        joins the two halves; each half is ordered recursively and the slab
-        (the separator) comes last.  A box too short to bisect is one leaf,
-        in node order.  Eliminating in this order confines fill to the
-        separators."""
-        nodes, parts = self.nodes, []
-        reach = np.max(np.abs(self.connectivity.directions), axis=0).tolist()
-
-        def dissect(index, lo, hi):  # index: the interior nodes in the box lo <= x <= hi
-            extent = [b - a + 1 for a, b in zip(lo, hi)]
-            axis = extent.index(max(extent))
-            width = reach[axis]
-            if extent[axis] < width + 2:
-                parts.append(index)
-                return
-            start = lo[axis] + (extent[axis] - width) // 2
-            coord = nodes[index, axis]
-            left, right = coord < start, coord >= start + width
-            dissect(index[left], lo, hi[:axis] + (start - 1,) + hi[axis + 1:])
-            dissect(index[right], lo[:axis] + (start + width,) + lo[axis + 1:], hi)
-            parts.append(index[~(left | right)])
-
-        dissect(np.flatnonzero(~self.boundary_mask()), (1,) * self.dimension, (self.n - 1,) * self.dimension)
-        return np.concatenate(parts)
+        """Indices of the nodes off the boundary, in node order, built on
+        first use.  A spring with step v joins interior nodes whose ranks
+        differ by v read in base N - 1, so the interior Hessian is banded:
+        for the square lattice, whose longest such difference is N (step
+        (1, 1)), its half-bandwidth is 2N + 1 degrees of freedom."""
+        return np.flatnonzero(~self.boundary_mask())
 
     @cached_property
     def stiffness_pattern(self) -> tuple:
@@ -337,6 +316,21 @@ class FiniteLatticeSample:
         column = ((dim * edge[:, None, None] + u) * dim + v).ravel()
         scatter = sp.csr_matrix((sign, (slot, column)), shape=(entries.size, self.n_edges * dim * dim))
         return scatter, (entries % m).astype(np.int32), indptr.astype(np.int32)
+
+    @cached_property
+    def band_slots(self) -> tuple:
+        """(lower, slot, width) of the interior stiffness matrix, built on
+        first use: `lower` indexes the entries on and below the diagonal in
+        the data of `stiffness_pattern`, and `slot` their flat positions in
+        an (m, width) array whose row j holds column j from the diagonal
+        down.  Its transpose is LAPACK's lower band storage; `width` is one
+        more than the half-bandwidth."""
+        _, indices, indptr = self.stiffness_pattern
+        column = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        below = indices - column
+        lower = np.flatnonzero(below >= 0)
+        width = int(below.max(initial=0)) + 1
+        return lower, column[lower] * width + below[lower], width
 
 
 def build_sample(

@@ -11,15 +11,14 @@ Both relaxation modes are Newton methods on the exact energy, gradient and
 interior Hessian, all three built from one call of the spring kernel
 (`springs.spring_terms`) per iterate; the per-edge Hessian blocks come from
 `springs.spring_hessian_block`, which the Cauchy-Born Hessian shares.  The
-interior degrees of freedom are numbered once per sample in nested-dissection
-order (`FiniteLatticeSample.interior_nodes`), and one fixed scatter operator
-maps the per-edge blocks onto the sample's CSC pattern, so every Hessian
-arrives already in its elimination order.  `minimize` is a trust-region
-Newton method that may leave the affine branch; `relax_branch` takes
-step-capped Newton steps, each a symmetric-mode SuperLU solve in that fixed
-order, stays on it, and stops at the first Newton step that is not a
-descent direction: there the Hessian is not positive definite, and the
-stable branch has ended.
+interior degrees of freedom are numbered in node order
+(`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded, and
+one fixed scatter operator per sample maps the per-edge blocks onto its CSC
+pattern.  `minimize` is a trust-region Newton method that may leave the
+affine branch; `relax_branch` stays on it with step-capped Newton steps,
+each solved by a banded Cholesky factorisation, and stops at the first
+iterate whose Hessian that factorisation finds not positive definite: there
+the stable branch has ended.
 """
 
 import dataclasses
@@ -57,7 +56,7 @@ class SolverOptions:
     gtol_rel: float = 1e-8
     # trust-region iterations of `minimize`; `relax_branch` ignores this: it
     # stops at its own fixed step limit (_BRANCH_MAX_STEPS) or, sooner, at the
-    # first Newton step that is not a descent direction
+    # first iterate whose Hessian is not positive definite
     max_iter: int = 500
 
 
@@ -237,44 +236,48 @@ def relax_branch(
 ) -> SolveReport:
     """Equilibrium on the unbuckled branch, followed only while it is
     stable: Newton from the affine state, each step capped at a nodal
-    displacement of 0.25.  Each step factors the exact interior Hessian H
-    with SuperLU in symmetric mode, in the nested-dissection order fixed per
-    sample (no column permutation of its own), diagonal pivots kept down to
-    1e-4 of the column maximum.
+    displacement of 0.25.  Each step copies the exact interior Hessian H,
+    banded in node order, into LAPACK's lower band storage and factors it
+    in place by Cholesky (dpbtrf), which also tests H for positive
+    definiteness.
 
-    A Newton step delta = -H^-1 g is taken only if it is a descent
-    direction.  If g.delta >= 0, H is not positive definite at this iterate:
-    the stable branch has ended (for the square lattice under compression,
-    the known loss of Cauchy-Born stability; Friesecke & Theil, J. Nonlinear
-    Sci. 12, 2002), and the solve stops unconverged without taking the step.
-    The test reuses the factorisation.  It does not certify a converged
-    state, since it can pass at an iterate whose H is indefinite.
+    Where the factorisation fails, H is not positive definite at this
+    iterate: the stable branch has ended (for the square lattice under
+    compression, the known loss of Cauchy-Born stability; Friesecke &
+    Theil, J. Nonlinear Sci. 12, 2002), and the solve stops unconverged
+    without taking a step.  A failed pivot of 0 (or NaN), or a step that is
+    not finite, is reported as a singular Hessian instead.  The test covers
+    every iterate a step is taken from, but not the state where the
+    gradient test is met, so a converged state is not certified.
 
     Otherwise the solve stops unconverged after 60 Newton steps;
     opts.max_iter does not apply.  Under strong compression the energy also
     has folded minima far from the affine state; `minimize` may fall into
     them, while the homogenised Cauchy-Born form can only describe the
     unfolded branch.  Where the affine-adjacent equilibrium is a stable
-    minimum and no iterate on the way to it has an indefinite H, this
-    returns the same state as `minimize`.
+    minimum and H is positive definite at every iterate on the way to it,
+    this returns the same state as `minimize`.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
 
     opts = opts or SolverOptions()
     it = _affine_start(sample, boundary)
+    lower, slot, width = sample.band_slots
+    band = np.empty((it.x.size, width))  # refilled at each step and factored in place
     steps = 0
     reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
     while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
-        try:
-            delta = splu(it.hessian, permc_spec="NATURAL", diag_pivot_thresh=1e-4,
-                         options={"SymmetricMode": True}).solve(-it.grad)
-        except RuntimeError:  # SuperLU: exactly singular factor
-            delta = None
+        band.fill(0.0)
+        band.ravel()[slot] = it.hessian.data[lower]
+        factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+        # on failure, info names the first leading minor that is not positive
+        # and its pivot is left in place
+        if info > 0 and factor[0, info - 1] < 0.0:
+            reason = "Hessian not positive definite on the affine branch"
+            break
+        delta = dpbtrs(factor, -it.grad, lower=1)[0] if info == 0 else None
         if delta is None or not np.all(np.isfinite(delta)):
             reason = "singular Hessian on the affine branch"
-            break
-        if it.grad @ delta >= 0.0:  # g.H^-1.g <= 0: H is not positive definite
-            reason = "Hessian not positive definite on the affine branch (Newton step is not a descent direction)"
             break
         biggest = float(np.max(np.abs(delta)))
         if biggest > _BRANCH_STEP_CAP:

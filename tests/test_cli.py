@@ -31,7 +31,7 @@ def assert_stops_where_the_stable_branch_ends(result):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "sample 0, F = [[0.6666666666666666, 0.0], [0.0, 0.6666666666666666]]" in lines[0]
-    assert "Hessian not positive definite on the affine branch (Newton step is not a descent direction)" in lines[0]
+    assert lines[0].endswith(": Hessian not positive definite on the affine branch")
 
 
 def test_non_converging_simulation_exits_2_without_traceback(tmp_path):

@@ -18,6 +18,7 @@ from growlat.lattice import (
     square_lattice,
     uniform_growth,
 )
+from growlat.solver import _Iterate
 
 
 def brute_force_order(connectivity):
@@ -254,23 +255,31 @@ class TestInteriorNodes:
         assert np.array_equal(order, s.interior_nodes)  # the order depends on the box only
 
     @pytest.mark.parametrize(
-        "connectivity, width",
-        [(square_connectivity(), 1), (Connectivity(2, ((1, 0), (0, 1), (2, 1))), 2)],
+        "connectivity, half_width",
+        [(square_connectivity(), 2 * 12 + 1), (Connectivity(2, ((1, 0), (0, 1), (2, 1))), 4 * 12 - 1)],
         ids=["square", "knight"],
     )
-    def test_halves_first_and_separator_last(self, connectivity, width):
-        # N = 12: the 11x11 interior is split across axis 0 by a slab as wide
-        # as the longest spring step along that axis
-        s = build_sample(connectivity, 12, 1.0)
-        x = s.nodes[:, 0]
-        low = 1 + (11 - width) // 2
-        left = 11 * (low - 1)
-        order = s.interior_nodes
-        assert np.all(x[order[:left]] < low)
-        assert np.all(x[order[left:-11 * width]] >= low + width)
-        assert set(x[order[-11 * width:]]) == set(range(low, low + width))
-        ends = x[s.edges]
-        assert not np.any((ends.min(axis=1) < low) & (ends.max(axis=1) >= low + width))
+    def test_node_order_gives_a_band_that_holds_the_hessian_exactly(self, connectivity, half_width):
+        # N = 12: step (1, 1) joins interior ranks N apart, so the square
+        # lattice's band reaches 2N + 1 degrees of freedom below the
+        # diagonal; the knight's step (2, 1) joins ranks 2N - 1 apart
+        s = build_sample(connectivity, 12, 1.0, uniform_growth(((0.8, 1.2),) * len(connectivity.directions), seed=1))
+        assert np.array_equal(s.interior_nodes, np.flatnonzero(~s.boundary_mask()))
+        lower, slot, width = s.band_slots
+        assert width == half_width + 1
+        pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(2).standard_normal((s.n_nodes, 2))
+        h = _Iterate(s, pos).hessian
+        dense = h.toarray()
+        band = np.zeros((dense.shape[0], width))
+        band.ravel()[slot] = h.data[lower]
+        column, below = np.divmod(np.arange(band.size), width)
+        inside = column + below < dense.shape[0]
+        rebuilt = np.zeros_like(dense)
+        rebuilt[column[inside] + below[inside], column[inside]] = band.ravel()[inside]
+        assert np.all(band.ravel()[~inside] == 0.0)
+        assert np.array_equal(rebuilt, np.tril(dense))
+        assert np.array_equal(dense, dense.T)
+        assert np.any(np.diag(dense, -half_width) != 0.0)
 
 
 class TestHomogeneousLattice:

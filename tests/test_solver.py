@@ -1,10 +1,9 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from growlat import solver
 from growlat.lattice import (
@@ -16,6 +15,7 @@ from growlat.lattice import (
     chain_connectivity,
     checkerboard_growth,
     homogeneous_growth,
+    no_growth,
     square_connectivity,
     square_lattice,
     uniform_growth,
@@ -301,8 +301,7 @@ class TestHessian:
         ids=["q2p0", "q3p0", "q2p1", "quartic"],
     )
     def test_matches_central_differences_of_gradient(self, law):
-        # N = 4: the 3x3 interior is dissected, so the columns follow a
-        # nontrivial elimination order
+        # N = 4: a 3x3 interior, so each column has a node on every side
         s = build_sample(square_connectivity(), 4, REST, uniform_growth(((0.9, 1.1),) * 4, seed=3), law)
         rng = np.random.default_rng(5)
         pos = s.affine_positions(np.eye(2)) + 0.1 * rng.standard_normal((s.n_nodes, 2))
@@ -322,7 +321,7 @@ class TestHessian:
         pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(1).standard_normal((s.n_nodes, 2))
         interior = ~s.boundary_mask()
         index = np.empty(s.n_nodes, dtype=int)
-        index[s.interior_nodes] = np.arange(s.interior_nodes.size)  # rank of each node in the elimination order
+        index[s.interior_nodes] = np.arange(s.interior_nodes.size)  # rank of each node among the interior
         d = pos[s.edges[:, 1]] - pos[s.edges[:, 0]]
         r = np.linalg.norm(d, axis=1)
         _, slope, curvature = spring_terms(s.law, r, s.rest * s.growth, s.growth**s.law.p, 2)
@@ -397,8 +396,8 @@ class TestRelaxBranch:
         assert "no convergence in 2 Newton steps" in report.message
 
     def test_no_saddle_is_reported_converged_on_sim2_dilations(self, sim2_dilations_n8):
-        # Newton without the descent test converges to saddles on 4 of these
-        # data (smallest eigenvalue down to -21)
+        # Newton without the positive-definiteness test converges to saddles
+        # on 4 of these data (smallest eigenvalue down to -21)
         s, reports = sim2_dilations_n8
         converged = [r for r in reports if r.converged]
         assert 0 < len(converged) < len(reports)
@@ -406,7 +405,7 @@ class TestRelaxBranch:
             assert np.linalg.eigvalsh(interior_hessian(s, report.positions))[0] > 0.0
 
     def test_stops_only_where_the_hessian_is_indefinite(self, sim2_dilations_n8):
-        # the descent test is sound: where it stops a solve, the interior
+        # the Cholesky test is sound: where it stops a solve, the interior
         # Hessian of the reported iterate has a negative eigenvalue
         s, reports = sim2_dilations_n8
         stopped = [r for r in reports if not r.converged]
@@ -423,48 +422,67 @@ class TestRelaxBranch:
         assert report.iterations == 0
         assert "singular Hessian" in report.message
 
-    def test_nested_dissection_needs_less_fill_than_minimum_degree(self):
-        # sim2's sample at N = 64 and its affine start at lambda = 1/1.5: the
-        # fixed order, factored as it is, against minimum degree on H + H^T
-        # of the same matrix numbered node by node
-        s, boundary = folded_datum(64)
-        h = _affine_start(s, boundary).hessian
-        rank = np.empty(s.n_nodes, dtype=int)
-        rank[s.interior_nodes] = np.arange(s.interior_nodes.size)
-        node_major = (2 * rank[np.nonzero(~s.boundary_mask())[0], None] + np.arange(2)).ravel()
-
-        def fill(matrix, permc_spec):
-            lu = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=1e-4, options={"SymmetricMode": True})
-            return lu.L.nnz + lu.U.nnz
-
-        assert fill(h, "NATURAL") < fill(h[node_major][:, node_major].tocsc(), "MMD_AT_PLUS_A")
-
     def test_every_step_of_a_failing_solve_is_accurate(self, monkeypatch):
-        factorise, steps = spla.splu, []
+        factorise, solve = lapack.dpbtrf, lapack.dpbtrs
+        pivots, steps = [], []
 
-        def recording_splu(h, **kwargs):
-            lu = factorise(h, **kwargs)
+        def recording_dpbtrf(ab, **kwargs):
+            factor, info = factorise(ab, **kwargs)
+            pivots.append((info, factor[0, info - 1] if info > 0 else None))
+            return factor, info
 
-            def solve(rhs):
-                steps.append(lu.solve(rhs))
-                return steps[-1].copy()  # relax_branch caps its step in place
+        def recording_dpbtrs(factor, rhs, **kwargs):
+            delta, info = solve(factor, rhs, **kwargs)
+            steps.append(delta.copy())  # relax_branch caps its step in place
+            return delta, info
 
-            return SimpleNamespace(solve=solve)
-
-        monkeypatch.setattr(spla, "splu", recording_splu)
+        monkeypatch.setattr(lapack, "dpbtrf", recording_dpbtrf)
+        monkeypatch.setattr(lapack, "dpbtrs", recording_dpbtrs)
         s, boundary = folded_datum(16)
         report = relax_branch(s, boundary)
-        # the last solve gives a step that is not a descent direction, and
-        # the solve stops without taking it
-        assert not report.converged and len(steps) == report.iterations + 1
+        # the last factorisation finds H not positive definite, and the
+        # solve stops without a step from that iterate
+        assert not report.converged and len(steps) == report.iterations
+        assert len(pivots) == report.iterations + 1
+        assert all(info == 0 for info, _ in pivots[:-1])
+        info, pivot = pivots[-1]
+        assert info > 0 and pivot < 0.0
+        assert "Hessian not positive definite on the affine branch" in report.message
         # replay the iterates: each step solves H delta = -g with the exact
         # Hessian and gradient of its iterate
         it = _affine_start(s, boundary)
-        for delta in steps[:-1]:
+        for delta in steps:
             assert np.max(np.abs(it.hessian @ delta + it.grad)) <= 1e-8 * np.max(np.abs(it.grad))
             it = it.moved(it.x + delta * min(1.0, 0.25 / np.max(np.abs(delta))))
         assert np.array_equal(it.positions, report.positions)
-        assert it.grad @ steps[-1] >= 0.0
+
+    def test_every_iterate_stepped_from_is_stable_on_sim2_dilations(self, monkeypatch):
+        move, stepped_from = _Iterate.moved, []
+
+        def recording_moved(it, x):
+            stepped_from.append(it)
+            return move(it, x)
+
+        monkeypatch.setattr(_Iterate, "moved", recording_moved)
+        s, _ = folded_datum(8)
+        for f in sample_family(DeformationFamily("dilational"))[1]:
+            relax_branch(s, AffineBoundary(f))
+        assert stepped_from
+        for it in stepped_from:
+            assert np.linalg.eigvalsh(it.hessian.toarray())[0] > 0.0
+
+    def test_an_indefinite_affine_start_stops_at_step_zero(self):
+        # sim4's ungrown sample (random rest lengths, no growth) at N = 4,
+        # seed 2, under F = I/1.5: Newton steps from its indefinite affine
+        # start would still converge, in 5 steps
+        rest = ((0.8, 1.2), (0.8, 1.2), (0.8 * math.sqrt(2.0), 1.2 * math.sqrt(2.0)),
+                (0.8 * math.sqrt(2.0), 1.2 * math.sqrt(2.0)))
+        s = build_sample(square_connectivity(), 4, rest, no_growth(square_connectivity(), seed=2), LAW)
+        boundary = AffineBoundary(np.eye(2) / 1.5)
+        report = relax_branch(s, boundary)
+        assert not report.converged and report.iterations == 0
+        assert report.message.endswith(": Hessian not positive definite on the affine branch")
+        assert np.linalg.eigvalsh(interior_hessian(s, s.affine_positions(boundary.f)))[0] < 0.0
 
 
 class TestFoldedMinimize:
