@@ -422,6 +422,25 @@ class TestRelaxBranch:
         assert report.iterations == 0
         assert "singular Hessian" in report.message
 
+    def test_band_cholesky_fills_only_the_band(self):
+        # in node order the Cholesky factor of the interior Hessian has no
+        # fill outside the band, so the band factor is the whole factor
+        s, boundary = stable_datum()
+        h = _affine_start(s, boundary).hessian
+        lower, slot, width = s.band_slots
+        band = np.zeros((h.shape[0], width))
+        band.ravel()[slot] = h.data[lower]
+        factor, info = lapack.dpbtrf(band.T, lower=1)
+        assert info == 0
+        dense = np.linalg.cholesky(h.toarray())
+        below = np.subtract.outer(np.arange(h.shape[0]), np.arange(h.shape[0]))
+        assert np.all(dense[below >= width] == 0.0)
+        column, offset = np.divmod(np.arange(band.size), width)
+        inside = column + offset < h.shape[0]
+        banded = np.zeros_like(dense)
+        banded[column[inside] + offset[inside], column[inside]] = factor.T.ravel()[inside]
+        assert np.allclose(banded, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+
     def test_every_step_of_a_failing_solve_is_accurate(self, monkeypatch):
         factorise, solve = lapack.dpbtrf, lapack.dpbtrs
         pivots, steps = [], []
