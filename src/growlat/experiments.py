@@ -34,11 +34,10 @@ def _law(config):
 
 def _solver_opts(config):
     s = config.get("solver", {})
-    defaults = solver.SolverOptions()
-    return solver.SolverOptions(
-        gtol_rel=float(s.get("gtol_rel", defaults.gtol_rel)),
-        max_iter=int(s.get("max_iter", defaults.max_iter)),
-    )
+    unknown = sorted(set(s) - {"gtol_rel"})
+    if unknown:
+        raise ValueError(f"unknown solver settings {unknown}; the only one is 'gtol_rel'")
+    return solver.SolverOptions(gtol_rel=float(s.get("gtol_rel", solver.SolverOptions.gtol_rel)))
 
 
 def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dict:

@@ -100,10 +100,10 @@ def measured_energies(
     step-capped Newton from the affine state (`relax_branch`, which stops
     at the first iterate whose Hessian is not positive definite, or after
     60 steps); mode "minimize" runs trust-region Newton to a local minimum
-    (`minimize`, at most opts.max_iter iterations), which under strong
-    compression can be a folded state that the homogenised Cauchy-Born form
-    cannot represent.  A solve that does not converge raises
-    ConvergenceError, naming the sample index and its boundary gradient F.
+    (`minimize`, at most 500 steps), which under strong compression can be
+    a folded state that the homogenised Cauchy-Born form cannot represent.
+    A solve that does not converge raises ConvergenceError, naming the
+    sample index and its boundary gradient F.
     """
     if mode not in ("branch", "minimize"):
         raise ValueError(f"unknown relaxation mode {mode!r}")

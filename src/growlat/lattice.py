@@ -284,20 +284,24 @@ class FiniteLatticeSample:
         first use.  A spring with step v joins interior nodes whose ranks
         differ by v read in base N - 1, so the interior Hessian is banded:
         for the square lattice, whose longest such difference is N (step
-        (1, 1)), its half-bandwidth is 2N + 1 degrees of freedom."""
+        (1, 1)), its half-bandwidth is 2N + 1 degrees of freedom, and the
+        band of `band_pattern` holds it and its Cholesky factor."""
         return np.flatnonzero(~self.boundary_mask())
 
     @cached_property
-    def stiffness_pattern(self) -> tuple:
-        """(scatter, indices, indptr) of the interior stiffness matrix, built
-        on first use.  The matrix sums, over edges, a symmetric DxD block K_e
+    def band_pattern(self) -> tuple:
+        """(scatter, slot, width) of the interior stiffness matrix, built on
+        first use.  The matrix sums, over edges, a symmetric DxD block K_e
         at the (tail, tail) and (head, head) node blocks and -K_e at
         (tail, head) and (head, tail), restricted to the nodes off the
         boundary; interior degree of freedom D k + a is axis a of node
-        `interior_nodes[k]`.  `scatter` is a sparse matrix of +-1 entries
-        that maps the flattened (E, D, D) blocks onto the matrix data,
-        data = scatter @ K.ravel(); (indices, indptr) is the CSR and, by
-        symmetry, the CSC structure."""
+        `interior_nodes[k]`.  Its entries on and below the diagonal live in
+        an (m, width) array whose row j holds column j from the diagonal
+        down: the transpose of LAPACK's lower band storage, with `width` one
+        more than the half-bandwidth.  `slot` gives their flat positions in
+        that array, and `scatter`, a sparse matrix of +-1 entries, maps the
+        flattened (E, D, D) blocks onto them: band.ravel()[slot] =
+        scatter @ K.ravel()."""
         import scipy.sparse as sp
 
         dim, interior = self.dimension, self.interior_nodes
@@ -308,29 +312,15 @@ class FiniteLatticeSample:
         i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
         edge, which = np.nonzero((i >= 0) & (j >= 0))
         u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        m = dim * interior.size
-        key = ((dim * i[edge, which, None, None] + u) * m + dim * j[edge, which, None, None] + v).ravel()
-        entries, slot = np.unique(key, return_inverse=True)  # row-major: CSR order
-        indptr = np.searchsorted(entries, m * np.arange(m + 1))
-        sign = np.repeat(np.array([1.0, 1.0, -1.0, -1.0])[which], dim * dim)
-        column = ((dim * edge[:, None, None] + u) * dim + v).ravel()
-        scatter = sp.csr_matrix((sign, (slot, column)), shape=(entries.size, self.n_edges * dim * dim))
-        return scatter, (entries % m).astype(np.int32), indptr.astype(np.int32)
-
-    @cached_property
-    def band_slots(self) -> tuple:
-        """(lower, slot, width) of the interior stiffness matrix, built on
-        first use: `lower` indexes the entries on and below the diagonal in
-        the data of `stiffness_pattern`, and `slot` their flat positions in
-        an (m, width) array whose row j holds column j from the diagonal
-        down.  Its transpose is LAPACK's lower band storage; `width` is one
-        more than the half-bandwidth."""
-        _, indices, indptr = self.stiffness_pattern
-        column = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        below = indices - column
-        lower = np.flatnonzero(below >= 0)
+        column = (dim * i[edge, which, None, None] + u).ravel()
+        below = (dim * j[edge, which, None, None] + v).ravel() - column
         width = int(below.max(initial=0)) + 1
-        return lower, column[lower] * width + below[lower], width
+        lower = below >= 0
+        slot, entry = np.unique((column * width + below)[lower], return_inverse=True)
+        sign = np.repeat(np.array([1.0, 1.0, -1.0, -1.0])[which], dim * dim)[lower]
+        block = ((dim * edge[:, None, None] + u) * dim + v).ravel()[lower]
+        scatter = sp.csr_matrix((sign, (entry, block)), shape=(slot.size, self.n_edges * dim * dim))
+        return scatter, slot, width
 
 
 def build_sample(

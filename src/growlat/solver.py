@@ -13,17 +13,19 @@ interior Hessian, all three built from one call of the spring kernel
 `springs.spring_hessian_block`, which the Cauchy-Born Hessian shares.  The
 interior degrees of freedom are numbered in node order
 (`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded, and
-one fixed scatter operator per sample maps the per-edge blocks onto its CSC
-pattern.  `minimize` is a trust-region Newton method that may leave the
-affine branch; `relax_branch` stays on it with step-capped Newton steps,
-each solved by a banded Cholesky factorisation, and stops at the first
-iterate whose Hessian that factorisation finds not positive definite: there
-the stable branch has ended.
+one fixed scatter operator per sample maps the per-edge blocks straight
+into LAPACK's lower band storage (`FiniteLatticeSample.band_pattern`).
+
+Both modes run one loop whose every step factors that band by Cholesky.
+`relax_branch` stays on the affine branch with capped Newton steps and
+stops at the first iterate whose Hessian is not positive definite: there
+the stable branch has ended.  `minimize` is a trust-region method that
+shifts an indefinite Hessian until it factors, so it may leave the affine
+branch for a folded minimum.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,12 +54,9 @@ class AffineBoundary:
 @dataclass(frozen=True)
 class SolverOptions:
     # convergence means max|grad| <= gtol_rel * (1 + |E|) over the interior
-    # degrees of freedom, in both relaxation modes
+    # degrees of freedom, in both relaxation modes; each mode has its own
+    # fixed step limit (_MINIMIZE_MAX_STEPS, _BRANCH_MAX_STEPS)
     gtol_rel: float = 1e-8
-    # trust-region iterations of `minimize`; `relax_branch` ignores this: it
-    # stops at its own fixed step limit (_BRANCH_MAX_STEPS) or, sooner, at the
-    # first iterate whose Hessian is not positive definite
-    max_iter: int = 500
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def _edge_terms(sample: FiniteLatticeSample, positions: np.ndarray, order: int):
 class _Iterate:
     """Energy, gradient and interior Hessian of a sample at one set of node
     positions, all from one call of the spring kernel.  The Hessian is
-    assembled on first use."""
+    assembled on request, into a band the caller holds."""
 
     def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray):
         self.sample, self.positions = sample, positions
@@ -98,19 +97,16 @@ class _Iterate:
         self.grad = self.gradient[sample.interior_nodes].ravel()
         self.grad_norm = float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
 
-    @cached_property
-    def hessian(self):
-        """Sparse CSC Hessian in the interior coordinates, ordered as
-        `sample.interior_nodes`.  Per edge, `springs.spring_hessian_block`
-        gives the DxD block of the spring energy in the edge vector; the
-        scatter operator of the sample's fixed `stiffness_pattern` maps the
-        blocks onto the data."""
-        import scipy.sparse as sp
-
-        scatter, indices, indptr = self.sample.stiffness_pattern
+    def band(self, out: np.ndarray) -> np.ndarray:
+        """Fill `out`, laid out as the sample's fixed `band_pattern`, with the
+        interior Hessian on and below the diagonal, and return it.  Per edge,
+        `springs.spring_hessian_block` gives the DxD block of the spring
+        energy in the edge vector; the pattern's scatter maps them onto `out`."""
+        scatter, slot, _ = self.sample.band_pattern
         d, r, (_, slope, curvature) = self._springs
-        block = spring_hessian_block(d, r, slope, curvature)
-        return sp.csc_matrix((scatter @ block.ravel(), indices, indptr), shape=(self.x.size,) * 2)
+        out.fill(0.0)
+        out.ravel()[slot] = scatter @ spring_hessian_block(d, r, slope, curvature).ravel()
+        return out
 
     def moved(self, x: np.ndarray) -> "_Iterate":
         positions = self.positions.copy()
@@ -160,21 +156,10 @@ def _report(it: _Iterate, iterations: int, opts: SolverOptions, reason: str) -> 
     )
 
 
-class _Iterates:
-    """The iterates of one trust-region solve, looked up by their interior
-    coordinates.  The optimiser evaluates each trial point before it accepts
-    or rejects it, so both the current iterate and the latest trial are kept
-    and neither is computed twice."""
-
-    def __init__(self, start: _Iterate):
-        self.current = self.latest = start
-
-    def at(self, x: np.ndarray) -> _Iterate:
-        for it in (self.current, self.latest):
-            if np.array_equal(it.x, x):
-                return it
-        self.latest = self.current.moved(x)
-        return self.latest
+_MINIMIZE_MAX_STEPS = 500  # trust-region steps, taken or not, before `minimize` gives up
+# The bench fingerprints pin which branch solves fail, so these stay fixed.
+_BRANCH_MAX_STEPS = 60     # Newton steps before a branch solve gives up
+_STEP_CAP = 0.25           # largest nodal displacement of a branch step; first radius of `minimize`
 
 
 def minimize(
@@ -185,48 +170,23 @@ def minimize(
     """Relax interior nodes under pinned affine boundary data to a local
     minimum of the energy.
 
-    Trust-region Newton from the affine start (scipy's trust-krylov; Nocedal
-    & Wright, ch. 7) on the exact gradient and Hessian.  Its subproblem
-    follows negative curvature, so under strong compression the solve leaves
-    the unbuckled branch for a folded minimum.  At most opts.max_iter
-    trust-region iterations.  Convergence means the infinity norm of the
-    interior gradient is at or below gtol_rel * (1 + |E|); anything else is
-    reported, never silent.
+    Trust-region Newton from the affine start on the exact gradient g and
+    Hessian H (Nocedal & Wright, ch. 4).  Where the banded Cholesky
+    factorisation of H fails, a shift mu, doubled from the size of the
+    failed pivot, is added to its diagonal until H + mu I factors (Moré &
+    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  The step goes along
+    -(H + mu I)^-1 g to the minimum of the quadratic model on that ray or,
+    if nearer, to the radius in the largest nodal displacement; without a
+    shift, that is the capped Newton step.  The radius starts at 0.25, is
+    quartered where the energy falls by less than a quarter of the model's
+    prediction and doubled where it falls by more than three quarters of
+    it at the radius; a step that lowers the energy is taken.  Negative
+    curvature is thus followed, so under strong compression the solve
+    leaves the unbuckled branch for a folded minimum.  At most 500 steps,
+    taken or not.  Convergence means max|g| <= gtol_rel * (1 + |E|) over
+    the interior; anything else is reported, never silent.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    opts = opts or SolverOptions()
-    iterates = _Iterates(_affine_start(sample, boundary))
-    iterations, reason = 0, ""
-    if not iterates.current.converged(opts):
-
-        def stop_when_converged(intermediate_result):
-            iterates.current = iterates.at(intermediate_result.x)
-            if iterates.current.converged(opts):
-                raise StopIteration
-
-        res = scipy_minimize(
-            lambda x: iterates.at(x).energy,
-            iterates.current.x,
-            method="trust-krylov",
-            jac=lambda x: iterates.at(x).grad,
-            hessp=lambda x, v: iterates.at(x).hessian @ v,
-            callback=stop_when_converged,
-            # the callback applies the relative tolerance; scipy's own test
-            # is on the 2-norm and would stop early or late
-            options={"maxiter": opts.max_iter, "gtol": 0.0},
-        )
-        iterates.current = iterates.at(res.x)
-        iterations, reason = int(res.nit), res.message
-    return _report(iterates.current, iterations, opts, reason)
-
-
-# ---------------------------------------------------------------------------
-# Branch relaxation (Newton continuation from the affine state)
-
-# The bench fingerprints pin which branch solves fail, so these stay fixed.
-_BRANCH_MAX_STEPS = 60     # Newton steps before a branch solve gives up
-_BRANCH_STEP_CAP = 0.25    # largest nodal displacement of one step
+    return _newton(sample, boundary, opts, branch=False)
 
 
 def relax_branch(
@@ -236,10 +196,8 @@ def relax_branch(
 ) -> SolveReport:
     """Equilibrium on the unbuckled branch, followed only while it is
     stable: Newton from the affine state, each step capped at a nodal
-    displacement of 0.25.  Each step copies the exact interior Hessian H,
-    banded in node order, into LAPACK's lower band storage and factors it
-    in place by Cholesky (dpbtrf), which also tests H for positive
-    definiteness.
+    displacement of 0.25.  The banded Cholesky factorisation (dpbtrf) of
+    the interior Hessian H also tests H for positive definiteness.
 
     Where the factorisation fails, H is not positive definite at this
     iterate: the stable branch has ended (for the square lattice under
@@ -250,40 +208,63 @@ def relax_branch(
     every iterate a step is taken from, but not the state where the
     gradient test is met, so a converged state is not certified.
 
-    Otherwise the solve stops unconverged after 60 Newton steps;
-    opts.max_iter does not apply.  Under strong compression the energy also
-    has folded minima far from the affine state; `minimize` may fall into
-    them, while the homogenised Cauchy-Born form can only describe the
-    unfolded branch.  Where the affine-adjacent equilibrium is a stable
-    minimum and H is positive definite at every iterate on the way to it,
-    this returns the same state as `minimize`.
+    Otherwise the solve stops unconverged after 60 Newton steps.  Under
+    strong compression the energy also has folded minima far from the
+    affine state; `minimize` may fall into them, while the homogenised
+    Cauchy-Born form can only describe the unfolded branch.  Where the
+    affine-adjacent equilibrium is a stable minimum and H is positive
+    definite at every iterate on the way to it, this returns the same state
+    as `minimize`.
     """
+    return _newton(sample, boundary, opts, branch=True)
+
+
+def _newton(sample: FiniteLatticeSample, boundary: AffineBoundary, opts: SolverOptions | None,
+            branch: bool) -> SolveReport:
+    """The loop behind `relax_branch` (branch=True) and `minimize`."""
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
     opts = opts or SolverOptions()
     it = _affine_start(sample, boundary)
-    lower, slot, width = sample.band_slots
-    band = np.empty((it.x.size, width))  # refilled at each step and factored in place
-    steps = 0
-    reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
-    while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
-        band.fill(0.0)
-        band.ravel()[slot] = it.hessian.data[lower]
-        factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
+    band = np.empty((it.x.size, sample.band_pattern[2]))  # refilled at each step and factored in place
+    max_steps = _BRANCH_MAX_STEPS if branch else _MINIMIZE_MAX_STEPS
+    radius, steps = _STEP_CAP, 0
+    reason = f"no convergence in {max_steps} Newton steps"
+    while not it.converged(opts) and steps < max_steps:
+        shift = 0.0
+        factor, info = dpbtrf(it.band(band).T, lower=1, overwrite_ab=1)
         # on failure, info names the first leading minor that is not positive
         # and its pivot is left in place
+        while not branch and info > 0 and factor[0, info - 1] < 0.0:
+            shift = max(2.0 * shift, -factor[0, info - 1])
+            it.band(band)[:, 0] += shift
+            factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info > 0 and factor[0, info - 1] < 0.0:
             reason = "Hessian not positive definite on the affine branch"
             break
         delta = dpbtrs(factor, -it.grad, lower=1)[0] if info == 0 else None
         if delta is None or not np.all(np.isfinite(delta)):
-            reason = "singular Hessian on the affine branch"
+            reason = "singular Hessian" + (" on the affine branch" if branch else "")
             break
-        biggest = float(np.max(np.abs(delta)))
-        if biggest > _BRANCH_STEP_CAP:
-            delta *= _BRANCH_STEP_CAP / biggest
-        it = it.moved(it.x + delta)
+        slope = it.grad @ delta  # negative: H + mu I is positive definite
+        curvature = -slope - shift * (delta @ delta)  # delta.H.delta, as (H + mu I) delta = -g
+        best = -slope / curvature if curvature > 0.0 else np.inf  # 1 without a shift
+        cap = radius / np.max(np.abs(delta))
+        scale = min(best, cap)
+        delta *= scale
+        trial = it.moved(it.x + delta)
         steps += 1
+        if branch:
+            it = trial
+            continue
+        predicted = -scale * (slope + 0.5 * scale * curvature)
+        rho = (it.energy - trial.energy) / predicted
+        if not rho >= 0.25:  # also where the trial energy is not finite
+            radius /= 4.0
+        elif rho > 0.75 and cap <= best:
+            radius *= 2.0
+        if rho > 0.0:
+            it = trial
     return _report(it, steps, opts, reason)
 
 

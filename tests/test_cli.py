@@ -179,3 +179,16 @@ def test_error_map_rejects_grids_that_are_not_three_positive_integers(tmp_path):
         assert "three positive integers" in lines[0]
         assert result.stdout == ""
     assert not (tmp_path / "ex7_error_map.csv").exists()
+
+
+def test_unknown_solver_settings_exit_2(tmp_path):
+    # a solver setting that does not exist is rejected, not silently ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"max_iter": 5}}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "max_iter" in lines[0]
+    assert not (tmp_path / "sim1_summary.json").exists()

@@ -18,7 +18,8 @@ from growlat.lattice import (
     square_lattice,
     uniform_growth,
 )
-from growlat.solver import _Iterate
+from growlat.springs import spring_hessian_block, spring_terms
+from test_solver import dense_from_band, interior_band
 
 
 def brute_force_order(connectivity):
@@ -241,6 +242,24 @@ class TestBuildSample:
         assert np.allclose(pos, s.nodes @ f.T)
 
 
+def assembled_hessian(sample, positions):
+    """Dense interior Hessian, added up block by block in edge order, the
+    order in which the band's scatter operator sums each entry."""
+    d = positions[sample.edges[:, 1]] - positions[sample.edges[:, 0]]
+    r = np.linalg.norm(d, axis=1)
+    _, slope, curvature = spring_terms(sample.law, r, sample.rest * sample.growth, sample.growth**sample.law.p, 2)
+    block = spring_hessian_block(d, r, slope, curvature)
+    dim = sample.dimension
+    rank = np.full(sample.n_nodes, -1)
+    rank[sample.interior_nodes] = np.arange(sample.interior_nodes.size)
+    h = np.zeros((dim * sample.interior_nodes.size,) * 2)
+    for e, (tail, head) in enumerate(rank[sample.edges]):
+        for a, b, sign in ((tail, tail, 1.0), (head, head, 1.0), (tail, head, -1.0), (head, tail, -1.0)):
+            if a >= 0 and b >= 0:
+                h[dim * a:dim * (a + 1), dim * b:dim * (b + 1)] += sign * block[e]
+    return h
+
+
 class TestInteriorNodes:
     @pytest.mark.parametrize(
         "connectivity, n",
@@ -265,21 +284,17 @@ class TestInteriorNodes:
         # diagonal; the knight's step (2, 1) joins ranks 2N - 1 apart
         s = build_sample(connectivity, 12, 1.0, uniform_growth(((0.8, 1.2),) * len(connectivity.directions), seed=1))
         assert np.array_equal(s.interior_nodes, np.flatnonzero(~s.boundary_mask()))
-        lower, slot, width = s.band_slots
+        width = s.band_pattern[2]
         assert width == half_width + 1
         pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(2).standard_normal((s.n_nodes, 2))
-        h = _Iterate(s, pos).hessian
-        dense = h.toarray()
-        band = np.zeros((dense.shape[0], width))
-        band.ravel()[slot] = h.data[lower]
+        band = interior_band(s, pos)
+        want = assembled_hessian(s, pos)
         column, below = np.divmod(np.arange(band.size), width)
-        inside = column + below < dense.shape[0]
-        rebuilt = np.zeros_like(dense)
-        rebuilt[column[inside] + below[inside], column[inside]] = band.ravel()[inside]
+        inside = column + below < want.shape[0]
         assert np.all(band.ravel()[~inside] == 0.0)
-        assert np.array_equal(rebuilt, np.tril(dense))
-        assert np.array_equal(dense, dense.T)
-        assert np.any(np.diag(dense, -half_width) != 0.0)
+        assert np.array_equal(np.tril(dense_from_band(band)), np.tril(want))
+        assert np.array_equal(want, want.T)
+        assert np.any(np.diag(want, -half_width) != 0.0)
 
 
 class TestHomogeneousLattice:

@@ -60,8 +60,25 @@ def owned_energy(sample, positions):
     return float(np.sum(_Iterate(sample, positions).edge_energies[sample.owned]))
 
 
+def interior_band(sample, positions):
+    """The interior Hessian on and below the diagonal, in `band_pattern` layout."""
+    it = _Iterate(sample, positions)
+    return it.band(np.empty((it.x.size, sample.band_pattern[2])))
+
+
+def dense_from_band(band):
+    """The symmetric matrix whose lower band is `band`: row j of the band
+    holds column j from the diagonal down."""
+    m, width = band.shape
+    column, below = np.divmod(np.arange(band.size), width)
+    inside = column + below < m
+    lower = np.zeros((m, m))
+    lower[column[inside] + below[inside], column[inside]] = band.ravel()[inside]
+    return lower + np.tril(lower, -1).T
+
+
 def interior_hessian(sample, positions):
-    return _Iterate(sample, positions).hessian.toarray()
+    return dense_from_band(interior_band(sample, positions))
 
 
 def folded_datum(n=6):
@@ -205,11 +222,25 @@ class TestMinimize:
         assert report.converged
         assert report.per_cell_energy < affine - 1e-4
 
-    def test_non_convergence_is_reported(self):
+    def test_non_convergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MINIMIZE_MAX_STEPS", 3)
         s = build_sample(square_connectivity(), 6, REST, uniform_growth(((0.8, 1.2),) * 4, seed=7), LAW)
-        report = minimize(s, AffineBoundary(1.2 * np.eye(2)), SolverOptions(gtol_rel=1e-16, max_iter=3))
+        report = minimize(s, AffineBoundary(1.2 * np.eye(2)), SolverOptions(gtol_rel=1e-16))
         assert not report.converged
-        assert report.message
+        assert report.iterations == 3
+        assert "no convergence in 3 Newton steps" in report.message
+
+    def test_radius_grows_on_a_long_chain(self):
+        # oned's default chain at its largest n: a node of the relaxed state
+        # lies 105 units from the affine one, beyond the 15 that 60 steps
+        # capped at 0.25 can reach, so the radius has to grow
+        s = one_d_chain(linear_growth(1.0, 1.0), 512, 1.0, SpringLaw(2, 0.0))
+        boundary = AffineBoundary(np.array([[2.0]]))
+        report = minimize(s, boundary)
+        assert report.converged and report.iterations <= 10
+        assert report.per_cell_energy == pytest.approx(0.10714287174782938, rel=1e-9)
+        branch = relax_branch(s, boundary)
+        assert not branch.converged and branch.iterations == 60
 
     def test_deterministic(self):
         s = build_sample(square_connectivity(), 5, REST, uniform_growth(((0.8, 1.2),) * 4, seed=8), LAW)
@@ -337,19 +368,26 @@ class TestHessian:
                             cols.append(2 * index[b] + m)
                             vals.append(sign * block[k, m])
         size = 2 * int(interior.sum())
-        want = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).toarray()
-        got = _Iterate(s, pos).hessian
-        assert got.format == "csc"
-        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * np.max(np.abs(want))
+        want = np.tril(sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).toarray())
+        band = interior_band(s, pos)
+        assert band.shape == (size, s.band_pattern[2])
+        got = np.tril(dense_from_band(band))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_iterates_of_one_sample_share_one_pattern(self):
+    def test_iterates_of_one_sample_share_one_pattern(self, monkeypatch):
+        fill, patterns = _Iterate.band, []
+
+        def recording_band(it, out):
+            patterns.append(it.sample.band_pattern)
+            return fill(it, out)
+
+        monkeypatch.setattr(_Iterate, "band", recording_band)
         s, boundary = folded_datum()
-        first, second = _affine_start(s, boundary), _affine_start(s, AffineBoundary(np.eye(2)))
-        moved = first.moved(first.x + 0.01)
-        assert first.sample.stiffness_pattern is second.sample.stiffness_pattern
-        for it in (second, moved):
-            assert np.shares_memory(it.hessian.indices, first.hessian.indices)
-            assert np.shares_memory(it.hessian.indptr, first.hessian.indptr)
+        for f in (boundary.f, 1.1 * np.eye(2)):
+            relax_branch(s, AffineBoundary(f))
+            minimize(s, AffineBoundary(f))
+        assert len(patterns) > 4
+        assert all(pattern is patterns[0] for pattern in patterns)
 
 
 @pytest.fixture(scope="module")
@@ -426,17 +464,16 @@ class TestRelaxBranch:
         # in node order the Cholesky factor of the interior Hessian has no
         # fill outside the band, so the band factor is the whole factor
         s, boundary = stable_datum()
-        h = _affine_start(s, boundary).hessian
-        lower, slot, width = s.band_slots
-        band = np.zeros((h.shape[0], width))
-        band.ravel()[slot] = h.data[lower]
+        pos = s.affine_positions(boundary.f)
+        band = interior_band(s, pos)
+        m, width = band.shape
         factor, info = lapack.dpbtrf(band.T, lower=1)
         assert info == 0
-        dense = np.linalg.cholesky(h.toarray())
-        below = np.subtract.outer(np.arange(h.shape[0]), np.arange(h.shape[0]))
+        dense = np.linalg.cholesky(interior_hessian(s, pos))
+        below = np.subtract.outer(np.arange(m), np.arange(m))
         assert np.all(dense[below >= width] == 0.0)
         column, offset = np.divmod(np.arange(band.size), width)
-        inside = column + offset < h.shape[0]
+        inside = column + offset < m
         banded = np.zeros_like(dense)
         banded[column[inside] + offset[inside], column[inside]] = factor.T.ravel()[inside]
         assert np.allclose(banded, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
@@ -471,7 +508,8 @@ class TestRelaxBranch:
         # Hessian and gradient of its iterate
         it = _affine_start(s, boundary)
         for delta in steps:
-            assert np.max(np.abs(it.hessian @ delta + it.grad)) <= 1e-8 * np.max(np.abs(it.grad))
+            h = interior_hessian(s, it.positions)
+            assert np.max(np.abs(h @ delta + it.grad)) <= 1e-8 * np.max(np.abs(it.grad))
             it = it.moved(it.x + delta * min(1.0, 0.25 / np.max(np.abs(delta))))
         assert np.array_equal(it.positions, report.positions)
 
@@ -488,7 +526,7 @@ class TestRelaxBranch:
             relax_branch(s, AffineBoundary(f))
         assert stepped_from
         for it in stepped_from:
-            assert np.linalg.eigvalsh(it.hessian.toarray())[0] > 0.0
+            assert np.linalg.eigvalsh(interior_hessian(s, it.positions))[0] > 0.0
 
     def test_an_indefinite_affine_start_stops_at_step_zero(self):
         # sim4's ungrown sample (random rest lengths, no growth) at N = 4,
@@ -505,8 +543,10 @@ class TestRelaxBranch:
 
 
 class TestFoldedMinimize:
-    def test_reaches_a_stable_folded_minimum(self):
-        s, boundary = folded_datum()
+    # at N = 16 the branch solve of the same datum stops at an indefinite Hessian
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_reaches_a_stable_folded_minimum(self, n):
+        s, boundary = folded_datum(n)
         report = minimize(s, boundary)
         assert report.converged
         affine = owned_energy(s, s.affine_positions(boundary.f)) / s.n**2
