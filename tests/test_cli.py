@@ -89,11 +89,22 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+PINNED_VERDICTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "fingerprints.json").read_text())[
+    "continuum-cli"]["check_verdicts"]
+
+
 def test_check_passes_every_suite(tmp_path):
-    result = run_cli(tmp_path, "check")
-    assert result.returncode == 0, result.stderr
-    report = json.loads((tmp_path / "checks_summary.json").read_text())
-    assert report["ok"] and all(check["ok"] for check in report["checks"].values())
+    # the perturbed run is the negative control: it must fail the exactness suite and only that one;
+    # both runs report exactly the verdicts that the benchmark pins
+    for perturb, failing in (([], set()), (["--perturb-g2", "1e-3"], {"decomposition_exactness"})):
+        result = run_cli(tmp_path, "check", *perturb)
+        assert result.returncode == (1 if failing else 0), result.stderr
+        report = json.loads((tmp_path / "checks_summary.json").read_text())
+        assert report["ok"] == (not failing)
+        assert {name: check["ok"] for name, check in report["checks"].items()} == {
+            name: name not in failing for name in PINNED_VERDICTS}
+        assert sorted(line.split()[:2] for line in result.stdout.splitlines()) == sorted(
+            ["FAIL" if name in failing else "PASS", name] for name in PINNED_VERDICTS)
 
 
 def test_order_of_the_square_lattice_is_two(tmp_path):
