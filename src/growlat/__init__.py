@@ -26,7 +26,6 @@ from .lattice import (
 )
 from .continuum import (
     AdmissibilityResult,
-    CorrectionResult,
     Decomposition,
     ErrorMap,
     GroundState,
@@ -35,7 +34,6 @@ from .continuum import (
     cauchy_born_energy_many,
     cauchy_born_gradient,
     cauchy_born_hessian,
-    correction_energy,
     decompose,
     extend_to_basis,
     fractional_error_map,
@@ -72,7 +70,6 @@ from .homogenize import (
     fit_growth,
     fit_rest_lengths,
     fitted_representative,
-    growth_tensors,
     measured_energies,
     sample_family,
 )

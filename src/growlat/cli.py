@@ -36,9 +36,6 @@ def _apply_overrides(config, args):
     if getattr(args, "family", None) is not None:
         kind = {"h": "horizontal", "v": "vertical", "d": "dilational", "s": "shear", "box": "box-grid"}[args.family]
         config["families"] = [kind]
-        config.setdefault("family", {})
-        if isinstance(config["family"], dict):
-            config["family"]["kind"] = kind
     return config
 
 

@@ -111,8 +111,9 @@ def is_shear(f: np.ndarray, basis, tol: float = GEOMETRIC_TOL) -> bool:
 
 
 def extend_to_basis(vectors, dim: int) -> np.ndarray:
-    """Extend linearly-independent vectors to a basis of R^dim by greedily
-    appending standard basis vectors in index order."""
+    """Extend linearly independent vectors to a basis of R^dim by greedily
+    appending standard basis vectors in index order.  The vectors must be
+    linearly independent; callers test that."""
     rows = [np.asarray(v, dtype=float) for v in vectors]
     for k in range(dim):
         if len(rows) == dim:
@@ -121,10 +122,9 @@ def extend_to_basis(vectors, dim: int) -> np.ndarray:
         e[k] = 1.0
         if np.linalg.matrix_rank(np.stack(rows + [e])) == len(rows) + 1:
             rows.append(e)
-    basis = np.stack(rows)
-    if np.linalg.matrix_rank(basis) < dim:
+    if len(rows) != dim:
         raise ValueError("vectors cannot be extended to a basis")
-    return basis
+    return np.stack(rows)
 
 
 def shear_witness_order1(connectivity: Connectivity, angle: float = math.pi / 4) -> np.ndarray:
@@ -203,7 +203,7 @@ class DecompositionPart:
 
     directions: tuple
     growth: np.ndarray      # G_k
-    growth_inv: np.ndarray  # G_k^{-1}, solved directly from the defining data
+    growth_inv: np.ndarray  # G_k^{-1}, from the same inverse of the basis columns as G_k
 
 
 @dataclass(frozen=True)
@@ -221,15 +221,13 @@ class Decomposition:
     parts: tuple[DecompositionPart, ...]
 
     def part_energy(self, k: int, f: np.ndarray) -> float:
-        return float(self.part_energy_many(k, np.asarray(f, dtype=float)))
-
-    def part_energy_many(self, k: int, fs: np.ndarray) -> np.ndarray:
+        """W_k(F): the ungrown springs of class k under F."""
         lat = self.lattice
         dirs = lat.connectivity.directions
         part = self.parts[k].directions
         rest = np.asarray([lat.rest[dirs.index(v)] for v in part])
-        (terms,) = spring_terms(lat.law, mapped_lengths(part, fs), rest, 1.0)
-        return np.sum(terms, axis=-1)
+        (terms,) = spring_terms(lat.law, mapped_lengths(part, f), rest, 1.0)
+        return float(np.sum(terms))
 
     def initial_energy(self, f: np.ndarray) -> float:
         return float(sum(self.part_energy(k, f) for k in range(len(self.parts))))
@@ -258,7 +256,11 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
     independent, jointly covering the connectivity); when omitted, the
     witness partition of the lattice order is used.  Each class is extended
     to a basis by standard vectors; G_k maps v -> g_v v on its class and
-    fixes the extension, so the split is exact for every F.
+    fixes the extension, so the split is exact for every F.  With C the
+    matrix whose columns are that basis and s the per-column factors,
+    G_k = C diag(s) C^{-1} and G_k^{-1} = C diag(1/s) C^{-1}, both from one
+    inverse of C.  This is the only place growth tensors are built from
+    per-direction factors.
     """
     if lattice.law.p != 0:
         raise ValueError("the additive decomposition requires a recombination law (p = 0)")
@@ -277,15 +279,10 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
         vecs = np.asarray(cls, dtype=float)
         if np.linalg.matrix_rank(vecs) < len(cls):
             raise ValueError(f"class {cls} is not linearly independent")
-        basis = extend_to_basis(list(vecs), d)
-        n_class = len(cls)
-        scale = np.array([growth_of[v] for v in cls] + [1.0] * (d - n_class))
-        # columns: G maps v/g_v -> v on the class and fixes the extension
-        b_cols = basis.T
-        shrunk_cols = (basis / scale[:, None]).T
-        growth = b_cols @ np.linalg.inv(shrunk_cols)
-        growth_inv = shrunk_cols @ np.linalg.inv(b_cols)
-        parts.append(DecompositionPart(tuple(cls), growth, growth_inv))
+        cols = extend_to_basis(vecs, d).T
+        cols_inv = np.linalg.inv(cols)
+        scale = np.array([growth_of[v] for v in cls] + [1.0] * (d - len(cls)))
+        parts.append(DecompositionPart(tuple(cls), (cols * scale) @ cols_inv, (cols / scale) @ cols_inv))
     return Decomposition(lattice, tuple(parts))
 
 
@@ -489,47 +486,3 @@ def fractional_error_map(
     values[defined] = w_i[defined] / w_g[defined] - 1.0
     masks = {t: defined & (np.abs(np.where(defined, values, 0.0)) > t) for t in thresholds}
     return ErrorMap(lam1, lam2, lam3, values, defined, masks, g)
-
-
-# ---------------------------------------------------------------------------
-# Correction energy
-
-
-@dataclass(frozen=True)
-class CorrectionResult:
-    h: np.ndarray        # overall growth measure
-    h_prime: np.ndarray  # anisotropy measure; identity for isotropic growth
-    value: float         # correction added to W_i(F H)
-
-
-def correction_energy(dec: Decomposition, f: np.ndarray, swap: bool = False, tol: float = 1e-12) -> CorrectionResult:
-    """Rewrite the two-part decomposition as a corrected multiplicative form:
-
-        W_g(F) = W_i(F H) + W'(F H, H')
-
-    where H = G_2^{-1}, H' = G_2 G_1^{-1} and W'(F, M) = W_1(F M) - W_1(F).
-    With swap=True the roles of the two parts are exchanged.  The identity
-    is verified to the given relative tolerance.
-    """
-    if len(dec.parts) != 2:
-        raise ValueError("correction form needs a decomposition with exactly 2 parts")
-    f = np.asarray(f, dtype=float)
-    g1, g2 = dec.parts[0].growth, dec.parts[1].growth
-    g1_inv, g2_inv = dec.parts[0].growth_inv, dec.parts[1].growth_inv
-    if swap:
-        h = g1_inv
-        h_prime = g1 @ g2_inv
-        corr_part = 1
-    else:
-        h = g2_inv
-        h_prime = g2 @ g1_inv
-        corr_part = 0
-    fh = f @ h
-    value = dec.part_energy(corr_part, fh @ h_prime) - dec.part_energy(corr_part, fh)
-    w_g = dec.grown_energy(f)
-    recon = dec.initial_energy(fh) + value
-    if abs(recon - w_g) > tol * (1.0 + abs(w_g)):
-        raise RuntimeError(
-            f"correction identity violated: {recon!r} vs {w_g!r} (|diff| = {abs(recon - w_g):.3e})"
-        )
-    return CorrectionResult(h, h_prime, float(value))

@@ -73,18 +73,6 @@ def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dic
     return summary
 
 
-def _family_from_config(config, default_kind="dilational", default_lam=1.5, default_shear=0.5, default_count=60):
-    fam = config.get("family", {})
-    if isinstance(fam, str):
-        fam = {"kind": fam}
-    return homogenize.DeformationFamily(
-        kind=fam.get("kind", default_kind),
-        lam_max=float(fam.get("lam_max", default_lam)),
-        lam_shear=float(fam.get("lam_shear", default_shear)),
-        count=int(fam.get("count", default_count)),
-    )
-
-
 def _fit_summary(fit):
     return {
         "parameters": fit.parameters,
@@ -128,6 +116,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
     config = dict(config or {})
+    if "family" in config:
+        raise ValueError("unknown config key 'family'; family settings go in 'family_overrides'")
     out = Path(out_dir)
     law = _law(config)
     opts = _solver_opts(config)
@@ -157,11 +147,13 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     sample = lattice.build_sample(co, n, rest, scenario, law)
     initial_sample = lattice.build_sample(co, n, rest, lattice.no_growth(co, seed=scenario.seed), law)
 
+    overrides = config.get("family_overrides", {})
     for fam_kind in families:
-        family = _family_from_config(
-            {"family": {"kind": fam_kind, **config.get("family_overrides", {})}},
-            default_kind=fam_kind, default_lam=default_lam, default_shear=default_shear,
-            default_count=int(config.get("count", 60)),
+        family = homogenize.DeformationFamily(
+            kind=overrides.get("kind", fam_kind),
+            lam_max=float(overrides.get("lam_max", default_lam)),
+            lam_shear=float(overrides.get("lam_shear", default_shear)),
+            count=int(overrides.get("count", config.get("count", 60))),
         )
         lams, fs = homogenize.sample_family(family)
         tag = f"{name}_{fam_kind}"
@@ -315,12 +307,12 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
         w_g = continuum.cauchy_born_energy(lat, f)
         for choice in continuum.square_partition_choices():
             dec = continuum.decompose(lat, choice)
-            parts = [(p.directions, p.growth.copy()) for p in dec.parts]
             if perturb_g2:
-                parts[1][1][0, 1] += perturb_g2
-            recon = 0.0
-            for k, (dirs, g_k) in enumerate(parts):
-                recon += dec.part_energy(k, f @ np.linalg.inv(g_k))
+                g2 = dec.parts[1].growth.copy()
+                g2[0, 1] += perturb_g2
+                recon = dec.part_energy(0, f @ dec.parts[0].growth_inv) + dec.part_energy(1, f @ np.linalg.inv(g2))
+            else:
+                recon = dec.grown_energy(f)
             worst = max(worst, abs(recon - w_g) / (1.0 + abs(w_g)))
     ok = worst <= 1e-12
     report["checks"]["decomposition_exactness"] = {"worst_residual": worst, "ok": ok}

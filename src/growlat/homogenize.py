@@ -16,12 +16,11 @@ cannot fix three parameters.
 """
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import Decomposition, mapped_lengths, rotation
+from .continuum import Decomposition, decompose, mapped_lengths
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, minimize, relax_branch
 from .springs import SpringLaw, profile_deriv, profile_energy
@@ -125,9 +124,13 @@ def measured_energies(
 class GrowthAnsatz:
     """Parameter forms for the two growth tensors of a 2-part decomposition.
 
-    Forms: "isotropic" (gamma * I, any class), "diagonal" (diag(a, b), class
-    of axis directions), "rotated-diagonal" (eigenvectors along the two
-    diagonals, class {(1,1), (1,-1)}).  Every parameter is fitted within
+    A form ties the growth factors of its class's directions to parameters:
+    "isotropic" (one gamma for the whole class, any class), "diagonal" (one
+    parameter per axis direction, class of axis directions),
+    "rotated-diagonal" (one per diagonal, class {(1,1), (1,-1)}).  The
+    tensors themselves come from `decompose`, so for a class of two planar
+    directions these are gamma * I, diag(a, b) and a tensor with
+    eigenvectors along the diagonals.  Every parameter is fitted within
     `bounds`; the fit starts from each of the 2**P corners of the box at the
     quarter marks of `bounds` and keeps the start that ends lowest.
     """
@@ -282,7 +285,6 @@ def _ansatz_params(dec: Decomposition, ansatz: GrowthAnsatz):
     dirs = dec.lattice.connectivity.directions
     param_of_dir = np.full(len(dirs), -1, dtype=int)
     names: list[str] = []
-    builders = []
     for k, form in enumerate((ansatz.g1_form, ansatz.g2_form)):
         cls = dec.parts[k].directions
         if form == "isotropic":
@@ -290,7 +292,6 @@ def _ansatz_params(dec: Decomposition, ansatz: GrowthAnsatz):
             names.append(f"gamma_{k + 1}")
             for v in cls:
                 param_of_dir[dirs.index(v)] = idx
-            builders.append(lambda p, i=idx: p[i] * np.eye(2))
         elif form == "diagonal":
             if not set(cls) <= _AXIS_DIRS:
                 raise ValueError("diagonal form needs a class of axis directions")
@@ -298,7 +299,6 @@ def _ansatz_params(dec: Decomposition, ansatz: GrowthAnsatz):
             names.extend([f"gamma_{k + 1}a", f"gamma_{k + 1}b"])
             for v in cls:
                 param_of_dir[dirs.index(v)] = ia if v == (1, 0) else ia + 1
-            builders.append(lambda p, i=ia: np.diag([p[i], p[i + 1]]))
         else:  # rotated-diagonal
             if not set(cls) <= _DIAG_DIRS:
                 raise ValueError("rotated-diagonal form needs the diagonal direction class")
@@ -306,11 +306,9 @@ def _ansatz_params(dec: Decomposition, ansatz: GrowthAnsatz):
             names.extend(["gamma_plus", "gamma_minus"])
             for v in cls:
                 param_of_dir[dirs.index(v)] = ip if v == (1, 1) else ip + 1
-            r = rotation(math.pi / 4)
-            builders.append(lambda p, i=ip, r=r: r @ np.diag([p[i], p[i + 1]]) @ r.T)
     if np.any(param_of_dir < 0):
         raise ValueError("ansatz does not cover every direction")
-    return names, param_of_dir, builders
+    return names, param_of_dir
 
 
 def fit_growth(
@@ -321,21 +319,22 @@ def fit_growth(
 ) -> FitResult:
     """Fit homogenised growth tensors in the given ansatz to measured
     energies of the grown system; the part energies come from `dec` and do
-    not change during the fit."""
+    not change during the fit.  The fit is over per-direction growth
+    factors tied by the ansatz; the reported G_1 and G_2 are those of
+    `decompose` for `dec`'s lattice carrying the fitted factors."""
     if dec.lattice.law.p != 0:
         raise ValueError("growth fitting is defined for recombination laws (p = 0)")
-    names, param_of_dir, builders = _ansatz_params(dec, ansatz)
+    names, param_of_dir = _ansatz_params(dec, ansatz)
+    partition = [p.directions for p in dec.parts]
+
+    def tensors(x):
+        fitted = decompose(replace(dec.lattice, growth=tuple(x[param_of_dir])), partition)
+        return {f"G_{k + 1}": p.growth.tolist() for k, p in enumerate(fitted.parts)}
+
     return _fit(
         mapped_lengths(dec.lattice.connectivity.matrix, fs), targets, np.asarray(dec.lattice.rest), param_of_dir,
-        names, dec.lattice.law, ansatz.bounds, lambda x: {f"G_{k + 1}": b(x).tolist() for k, b in enumerate(builders)},
+        names, dec.lattice.law, ansatz.bounds, tensors,
     )
-
-
-def growth_tensors(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
-    """The fitted growth tensors as matrices."""
-    if not fit.groups or "G_1" not in fit.groups:
-        raise ValueError("fit result does not carry growth tensors")
-    return np.asarray(fit.groups["G_1"]), np.asarray(fit.groups["G_2"])
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,12 @@ def apply_growth(lattice: HomogeneousLattice, factors) -> HomogeneousLattice:
     """Compose a further growth event: growth factors multiply componentwise.
 
     Rest lengths are untouched, so the initial and grown systems coexist
-    as two lattice values sharing the same rest data.
+    as two lattice values sharing the same rest data.  A factor that is not
+    positive is rejected by the new lattice's own validation.
     """
     factors = tuple(float(x) for x in factors)
     if len(factors) != len(lattice.connectivity.directions):
         raise ValueError("one factor per direction required")
-    if any(x <= 0 for x in factors):
-        raise ValueError("growth factors must be positive")
     new = tuple(g * f for g, f in zip(lattice.growth, factors))
     return replace(lattice, growth=new)
 

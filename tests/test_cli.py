@@ -203,3 +203,16 @@ def test_unknown_solver_settings_exit_2(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "max_iter" in lines[0]
     assert not (tmp_path / "sim1_summary.json").exists()
+
+
+def test_top_level_family_block_exits_2(tmp_path):
+    # a "family" block used to be ignored silently: {"count": 3} still wrote 60 rows
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": {"count": 3}}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "family_overrides" in lines[0]
+    assert not (tmp_path / "sim1_summary.json").exists()

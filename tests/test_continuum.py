@@ -13,7 +13,6 @@ from growlat.continuum import (
     cauchy_born_energy_many,
     cauchy_born_gradient,
     cauchy_born_hessian,
-    correction_energy,
     decompose,
     extend_to_basis,
     fractional_error_map,
@@ -196,6 +195,14 @@ class TestDecomposition:
         for part in dec.parts:
             assert np.allclose(part.growth, np.eye(2), atol=1e-14)
 
+    def test_isotropic_growth_gives_equal_tensors(self):
+        # then G_2 G_1^{-1} = I: the single tensor 1.2 I reconstructs the grown energy
+        for choice in square_partition_choices():
+            dec = decompose(apply_growth(square_lattice(), (1.2,) * 4), choice)
+            for part in dec.parts:
+                assert np.allclose(part.growth, 1.2 * np.eye(2), rtol=0.0, atol=1e-14)
+                assert np.allclose(part.growth_inv, np.eye(2) / 1.2, rtol=0.0, atol=1e-14)
+
     def test_axis_diagonal_tensors(self):
         lat = apply_growth(square_lattice(), (1.3, 0.7, 0.9, 1.1))
         dec = decompose(lat, square_partition_choices()[0])
@@ -250,6 +257,8 @@ class TestDecomposition:
             f = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
             w_g = cauchy_born_energy(lat, f)
             assert abs(dec.grown_energy(f) - w_g) <= 1e-12 * (1 + abs(w_g))
+            for part in dec.parts:
+                assert np.allclose(part.growth @ part.growth_inv, np.eye(3), rtol=0.0, atol=1e-12)
 
     def test_partition_validation(self):
         lat = square_lattice()
@@ -451,39 +460,3 @@ class TestErrorMap:
         header = path.read_text().splitlines()[0]
         assert header == "lam1,lam2,lam3,error,mask_10,mask_20"
         assert len(path.read_text().splitlines()) == 1 + 4 * 4 * 3
-
-
-class TestCorrectionEnergy:
-    def test_isotropic_growth_needs_no_correction(self):
-        lat = apply_growth(square_lattice(), (1.2, 1.2, 1.2, 1.2))
-        dec = decompose(lat)
-        res = correction_energy(dec, np.array([[1.1, 0.2], [0.0, 0.9]]))
-        assert np.allclose(res.h_prime, np.eye(2), atol=1e-12)
-        assert abs(res.value) <= 1e-12
-
-    def test_identity_holds_both_roles(self):
-        rng = np.random.default_rng(10)
-        lat = apply_growth(square_lattice(), (1, 1, 0.9, 1.1))
-        dec = decompose(lat)
-        for _ in range(20):
-            f = random_invertible(rng)
-            res = correction_energy(dec, f)
-            res_swapped = correction_energy(dec, f, swap=True)
-            w_g = cauchy_born_energy(lat, f)
-            assert dec.initial_energy(f @ res.h) + res.value == pytest.approx(w_g, rel=1e-12, abs=1e-12)
-            assert dec.initial_energy(f @ res_swapped.h) + res_swapped.value == pytest.approx(
-                w_g, rel=1e-12, abs=1e-12
-            )
-
-    def test_h_definitions(self):
-        lat = apply_growth(square_lattice(), (1, 1, 0.9, 1.1))
-        dec = decompose(lat)
-        res = correction_energy(dec, np.eye(2))
-        assert np.allclose(res.h, dec.parts[1].growth_inv)
-        assert np.allclose(res.h_prime, dec.parts[1].growth @ np.linalg.inv(dec.parts[0].growth))
-
-    def test_requires_two_parts(self):
-        lat = HomogeneousLattice(Connectivity(2, ((1, 0),)), (1.0,), (0.9,), SpringLaw())
-        dec = decompose(lat)
-        with pytest.raises(ValueError):
-            correction_energy(dec, np.eye(2))

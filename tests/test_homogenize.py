@@ -105,6 +105,11 @@ def test_fit_growth_recovers_full_rank_parameters():
     result = fit_growth(sim1_decomposition(law), fs, grown_targets(law, truth, fs), SIM1_ANSATZ)
     got = [result.parameters[k] for k in ("gamma_1", "gamma_plus", "gamma_minus")]
     assert np.allclose(got, truth, rtol=0.0, atol=1e-8)
+    # the reported tensors are the ansatz's closed forms gamma_1 I and R diag(gamma+, gamma-) R^T
+    g1, gp, gm = got
+    r = continuum.rotation(math.pi / 4)
+    assert np.allclose(result.groups["G_1"], g1 * np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.allclose(result.groups["G_2"], r @ np.diag([gp, gm]) @ r.T, rtol=0.0, atol=1e-15)
     assert result.relative_mse <= 1e-20
     assert result.rank == 3
     assert result.n_used == len(fs) and result.excluded == ()

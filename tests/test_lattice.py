@@ -146,8 +146,9 @@ class TestApplyGrowth:
         assert grown.rest == square_lattice().rest
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            apply_growth(square_lattice(), (1, 1, 0, 1))
+        for factor in (0, -0.5):
+            with pytest.raises(ValueError, match="growth factors must be positive"):
+                apply_growth(square_lattice(), (1, 1, factor, 1))
 
 
 class TestBuildSample:
