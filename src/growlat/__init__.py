@@ -38,6 +38,7 @@ from .continuum import (
     extend_to_basis,
     fractional_error_map,
     ground_state,
+    growth_tensors,
     is_shear,
     multiplicative_admissible,
     rotation,

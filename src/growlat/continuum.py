@@ -17,7 +17,7 @@ Newton solve on that exact Hessian over upper-triangular F.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,16 +41,44 @@ def upper_triangular(lam1: float, lam2: float, lam3: float) -> np.ndarray:
 
 def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
     """Images F v of the directions v under a stack of deformation gradients;
-    shape (..., n_dirs, D).  One matmul against the direction matrix; for
-    integer directions in two dimensions each entry is a sum of two exact
-    products, so it is the same to the bit however the sum is taken."""
-    return np.swapaxes(np.asarray(fs, dtype=float) @ np.asarray(directions, dtype=float).T, -1, -2)
+    shape (..., n_dirs, D).
+
+    One GEMM, (rows of every F) @ V^T with V the direction matrix, gives
+    (F v)_i for the whole stack; its (..., D, n_dirs) reshape is swapped to
+    the returned view.  For directions whose entries are 0 or +- a power of
+    two, such as the square lattice's, each entry in two dimensions is a sum
+    of two exact products and so is correctly rounded: it is the same to the
+    bit as a per-F product or an einsum, whatever kernel BLAS picks for the
+    shape.  Elsewhere it agrees to rounding."""
+    fs = np.asarray(fs, dtype=float)
+    d = fs.shape[-1]
+    mapped = (fs.reshape(-1, d) @ np.asarray(directions, dtype=float).T).reshape(fs.shape[:-1] + (-1,))
+    return np.swapaxes(mapped, -1, -2)
 
 
 def mapped_lengths(directions, fs: np.ndarray) -> np.ndarray:
-    """Lengths ||F v|| of the mapped directions; shape (..., n_dirs).  The
-    images themselves are freed before this returns."""
-    return np.linalg.norm(mapped_directions(directions, fs), axis=-1)
+    """Lengths ||F v|| of the mapped directions; shape (..., n_dirs): the
+    root of the squares of `mapped_directions`' one GEMM, squared in place
+    and summed over the D components of its (..., D, n_dirs) layout in
+    index order, as `np.linalg.norm` sums its D < 8 terms, so the lengths
+    are the same to the bit."""
+    squares = np.swapaxes(mapped_directions(directions, fs), -1, -2)
+    squares *= squares
+    total = _sum_slices(squares, -2)
+    return np.sqrt(total, out=total)
+
+
+def _sum_slices(a: np.ndarray, axis: int):
+    """np.sum(a, axis) as a loop over whole slices in index order: on a
+    large stack with a short axis, numpy's reduction loop runs once per
+    output element and costs several times as much.  numpy adds fewer than
+    8 terms in index order too, so there the sum is the same to the bit;
+    from 8 terms on numpy sums pairwise and the two agree to rounding."""
+    a = np.moveaxis(a, axis, 0)
+    total = a[0].copy()
+    for term in a[1:]:
+        total += term
+    return total[()]  # a numpy scalar, as from np.sum, for one F
 
 
 def _cauchy_born_terms(lattice: HomogeneousLattice, lengths: np.ndarray, order: int):
@@ -67,7 +95,7 @@ def cauchy_born_energy(lattice: HomogeneousLattice, f: np.ndarray) -> float:
 def cauchy_born_energy_many(lattice: HomogeneousLattice, fs: np.ndarray) -> np.ndarray:
     """Vectorised Cauchy-Born energy over a stack of deformation gradients."""
     (terms,) = _cauchy_born_terms(lattice, mapped_lengths(lattice.connectivity.matrix, fs), 0)
-    return np.sum(terms, axis=-1)
+    return _sum_slices(terms, -1)
 
 
 def cauchy_born_gradient(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarray:
@@ -199,11 +227,36 @@ def shear_family(choice: int, part: int, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecompositionPart:
-    """One class of directions with its part energy and growth tensor."""
+    """One class of directions with its part energy and growth tensor, and
+    the basis that `growth_tensors` builds the tensor of any growth from."""
 
     directions: tuple
-    growth: np.ndarray      # G_k
-    growth_inv: np.ndarray  # G_k^{-1}, from the same inverse of the basis columns as G_k
+    index: tuple              # positions of `directions` in the connectivity
+    rest: np.ndarray          # their rest lengths
+    basis: np.ndarray         # C: the directions, then standard vectors, as columns
+    basis_inv: np.ndarray     # C^{-1}
+    growth: np.ndarray = None      # G_k of the lattice's growth; `decompose` fills it from `growth_tensors`
+    growth_inv: np.ndarray = None  # G_k^{-1}, from the same inverse of C as G_k
+
+
+def growth_tensors(parts, factors) -> list:
+    """Per part, (G_k, G_k^{-1}) for per-direction growth factors of shape
+    (..., n_dirs), each tensor of shape (..., D, D).
+
+    With C a part's basis columns and s the factors of its directions,
+    padded with 1 on the standard vectors that extend the class,
+    G_k = C diag(s) C^{-1} and G_k^{-1} = C diag(1/s) C^{-1}.  This is the
+    only place growth tensors are built from per-direction factors.  A stack
+    of factors gives the tensors of each of its rows alone; for the square
+    lattice's partitions the tests pin this to the bit.
+    """
+    factors = np.asarray(factors, dtype=float)
+    tensors = []
+    for p in parts:
+        pad = np.ones(factors.shape[:-1] + (len(p.basis) - len(p.index),))
+        scale = np.concatenate([factors[..., list(p.index)], pad], axis=-1)[..., None, :]
+        tensors.append(((p.basis * scale) @ p.basis_inv, (p.basis / scale) @ p.basis_inv))
+    return tensors
 
 
 @dataclass(frozen=True)
@@ -215,35 +268,31 @@ class Decomposition:
         W_g(F) = sum_k W_k(F G_k^{-1}) (with growth)
 
     W_k depends only on the rest lengths; G_k only on the growth factors.
+    The energies take a stack of deformation gradients F of shape
+    (..., D, D) and return shape (...), a float64 scalar for one F.
     """
 
     lattice: HomogeneousLattice
     parts: tuple[DecompositionPart, ...]
 
-    def part_energy(self, k: int, f: np.ndarray) -> float:
+    def part_energy(self, k: int, f: np.ndarray) -> np.ndarray:
         """W_k(F): the ungrown springs of class k under F."""
-        lat = self.lattice
-        dirs = lat.connectivity.directions
-        part = self.parts[k].directions
-        rest = np.asarray([lat.rest[dirs.index(v)] for v in part])
-        (terms,) = spring_terms(lat.law, mapped_lengths(part, f), rest, 1.0)
-        return float(np.sum(terms))
+        part = self.parts[k]
+        (terms,) = spring_terms(self.lattice.law, mapped_lengths(part.directions, f), part.rest, 1.0)
+        return np.sum(terms, axis=-1)
 
-    def initial_energy(self, f: np.ndarray) -> float:
-        return float(sum(self.part_energy(k, f) for k in range(len(self.parts))))
+    def initial_energy(self, f: np.ndarray) -> np.ndarray:
+        return sum(self.part_energy(k, f) for k in range(len(self.parts)))
 
-    def grown_energy(self, f: np.ndarray) -> float:
+    def grown_energy(self, f: np.ndarray) -> np.ndarray:
         """sum_k W_k(F G_k^{-1}); equals the Cauchy-Born energy of the grown
         lattice."""
         f = np.asarray(f, dtype=float)
-        return float(
-            sum(self.part_energy(k, f @ p.growth_inv) for k, p in enumerate(self.parts))
-        )
+        return sum(self.part_energy(k, f @ p.growth_inv) for k, p in enumerate(self.parts))
 
     def to_json_dict(self) -> dict:
-        dirs = self.lattice.connectivity.directions
         return {
-            "partition": [[dirs.index(v) for v in p.directions] for p in self.parts],
+            "partition": [list(p.index) for p in self.parts],
             "growth_tensors": [p.growth.ravel().tolist() for p in self.parts],
             "growth_tensor_inverses": [p.growth_inv.ravel().tolist() for p in self.parts],
         }
@@ -256,11 +305,10 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
     independent, jointly covering the connectivity); when omitted, the
     witness partition of the lattice order is used.  Each class is extended
     to a basis by standard vectors; G_k maps v -> g_v v on its class and
-    fixes the extension, so the split is exact for every F.  With C the
-    matrix whose columns are that basis and s the per-column factors,
-    G_k = C diag(s) C^{-1} and G_k^{-1} = C diag(1/s) C^{-1}, both from one
-    inverse of C.  This is the only place growth tensors are built from
-    per-direction factors.
+    fixes the extension, so the split is exact for every F.  Per class the
+    rank test, the basis and its inverse are computed once and kept, so
+    `growth_tensors(dec.parts, factors)` gives the tensors of any other
+    growth of the same lattice without decomposing again.
     """
     if lattice.law.p != 0:
         raise ValueError("the additive decomposition requires a recombination law (p = 0)")
@@ -272,7 +320,6 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
     flat = [v for cls in classes for v in cls]
     if sorted(flat) != sorted(co.directions):
         raise ValueError("partition must cover the connectivity exactly")
-    growth_of = dict(zip(co.directions, lattice.growth))
 
     parts = []
     for cls in classes:
@@ -280,9 +327,10 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
         if np.linalg.matrix_rank(vecs) < len(cls):
             raise ValueError(f"class {cls} is not linearly independent")
         cols = extend_to_basis(vecs, d).T
-        cols_inv = np.linalg.inv(cols)
-        scale = np.array([growth_of[v] for v in cls] + [1.0] * (d - len(cls)))
-        parts.append(DecompositionPart(tuple(cls), (cols * scale) @ cols_inv, (cols / scale) @ cols_inv))
+        index = tuple(co.directions.index(v) for v in cls)
+        parts.append(DecompositionPart(cls, index, np.asarray(lattice.rest)[list(index)], cols, np.linalg.inv(cols)))
+    tensors = growth_tensors(parts, lattice.growth)
+    parts = [replace(p, growth=g, growth_inv=g_inv) for p, (g, g_inv) in zip(parts, tensors)]
     return Decomposition(lattice, tuple(parts))
 
 
@@ -480,7 +528,8 @@ def fractional_error_map(
     fs[..., 0, 1] = c
 
     w_g = cauchy_born_energy_many(grown, fs)
-    w_i = cauchy_born_energy_many(initial, fs @ g_inv)
+    # F G^{-1} for the whole grid as one GEMM over the rows of every F
+    w_i = cauchy_born_energy_many(initial, (fs.reshape(-1, 2) @ g_inv).reshape(fs.shape))
     defined = w_g > 0.0
     values = np.full(a.shape, np.nan)
     values[defined] = w_i[defined] / w_g[defined] - 1.0

@@ -112,12 +112,21 @@ def _sim_scenario(name, config, law):
 
 
 def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
-    """Run one named homogenisation simulation and write its outputs."""
+    """Run one named homogenisation simulation and write its outputs.
+
+    The config's "families" picks the deformation families, and its
+    "family_overrides" may set "count", "lam_max" and "lam_shear" for all
+    of them; any other override key raises ValueError."""
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
     config = dict(config or {})
     if "family" in config:
         raise ValueError("unknown config key 'family'; family settings go in 'family_overrides'")
+    overrides = config.get("family_overrides", {})
+    unknown = sorted(set(overrides) - {"count", "lam_max", "lam_shear"})
+    if unknown:
+        raise ValueError(f"unknown family_overrides keys {unknown}; "
+                         "the allowed keys are 'count', 'lam_max' and 'lam_shear'")
     out = Path(out_dir)
     law = _law(config)
     opts = _solver_opts(config)
@@ -147,10 +156,9 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     sample = lattice.build_sample(co, n, rest, scenario, law)
     initial_sample = lattice.build_sample(co, n, rest, lattice.no_growth(co, seed=scenario.seed), law)
 
-    overrides = config.get("family_overrides", {})
     for fam_kind in families:
         family = homogenize.DeformationFamily(
-            kind=overrides.get("kind", fam_kind),
+            kind=fam_kind,
             lam_max=float(overrides.get("lam_max", default_lam)),
             lam_shear=float(overrides.get("lam_shear", default_shear)),
             count=int(overrides.get("count", config.get("count", 60))),
@@ -289,43 +297,51 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
 def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random: int = 200) -> dict:
     """Analytic identity suites with worst-case residuals.
 
-    perturb_g2 adds the given value to one entry of the second growth tensor
-    before checking decomposition exactness (a negative control: any nonzero
-    perturbation must make the suite fail).
+    The ungrown square lattice is decomposed once per partition choice, and
+    both the exactness and the shear suites reuse those three
+    decompositions.  Exactness draws n_random (growth, F) pairs and compares
+    the per-draw Cauchy-Born energy W_g of the grown lattice with one
+    stacked reconstruction sum_k W_k(F G_k^{-1}) per partition, its
+    tensors built for every draw at once by `continuum.growth_tensors`.
+    The shear suite evaluates each part energy on its 50 angles as one
+    stack.
+
+    perturb_g2 adds the given value to G_2[0, 1] of every draw, and the
+    reconstruction then uses the inverses of those perturbed tensors (a
+    negative control: any nonzero perturbation must make the suite fail).
     """
     rng = np.random.default_rng(seed)
     law = lattice.SpringLaw(2, 0.0)
-    co = lattice.square_connectivity()
+    lat0 = lattice.square_lattice(law=law)
+    decs = [continuum.decompose(lat0, choice) for choice in continuum.square_partition_choices()]
     report = {"checks": {}, "ok": True}
 
     # decomposition exactness over the three square partitions
+    growths, fs, w_g = np.empty((n_random, 4)), np.empty((n_random, 2, 2)), np.empty(n_random)
+    for i in range(n_random):
+        growths[i] = rng.uniform(0.7, 1.4, 4)
+        fs[i] = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
+        w_g[i] = continuum.cauchy_born_energy(lattice.apply_growth(lat0, growths[i]), fs[i])
     worst = 0.0
-    for _ in range(n_random):
-        growth = tuple(rng.uniform(0.7, 1.4, 4))
-        lat = lattice.apply_growth(lattice.square_lattice(law=law), growth)
-        f = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
-        w_g = continuum.cauchy_born_energy(lat, f)
-        for choice in continuum.square_partition_choices():
-            dec = continuum.decompose(lat, choice)
-            if perturb_g2:
-                g2 = dec.parts[1].growth.copy()
-                g2[0, 1] += perturb_g2
-                recon = dec.part_energy(0, f @ dec.parts[0].growth_inv) + dec.part_energy(1, f @ np.linalg.inv(g2))
-            else:
-                recon = dec.grown_energy(f)
-            worst = max(worst, abs(recon - w_g) / (1.0 + abs(w_g)))
+    for dec in decs:
+        tensors = continuum.growth_tensors(dec.parts, growths)
+        inverses = [g_inv for _, g_inv in tensors]
+        if perturb_g2:
+            g2 = tensors[1][0]
+            g2[..., 0, 1] += perturb_g2
+            inverses[1] = np.linalg.inv(g2)
+        recon = sum(dec.part_energy(k, fs @ g_inv) for k, g_inv in enumerate(inverses))
+        worst = max(worst, float(np.max(np.abs(recon - w_g) / (1.0 + np.abs(w_g)), initial=0.0)))
     ok = worst <= 1e-12
     report["checks"]["decomposition_exactness"] = {"worst_residual": worst, "ok": ok}
 
     # shear-family vanishing
     worst_shear = 0.0
-    lat0 = lattice.square_lattice(law=law)
-    dec0 = {c: continuum.decompose(lat0, choice) for c, choice in enumerate(continuum.square_partition_choices())}
-    for c in range(3):
+    thetas = np.linspace(0.05, 2 * math.pi - 0.05, 50)
+    for c, dec in enumerate(decs):
         for part in range(2):
-            for theta in np.linspace(0.05, 2 * math.pi - 0.05, 50):
-                f = continuum.shear_family(c, part, theta)
-                worst_shear = max(worst_shear, abs(dec0[c].part_energy(part, f)))
+            fs_shear = np.array([continuum.shear_family(c, part, theta) for theta in thetas])
+            worst_shear = max(worst_shear, float(np.max(np.abs(dec.part_energy(part, fs_shear)))))
     ok_shear = worst_shear <= 1e-12
     report["checks"]["shear_family_vanishing"] = {"worst_residual": worst_shear, "ok": ok_shear}
 

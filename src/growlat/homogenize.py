@@ -16,11 +16,11 @@ cannot fix three parameters.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import Decomposition, decompose, mapped_lengths
+from .continuum import Decomposition, growth_tensors, mapped_lengths
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, minimize, relax_branch
 from .springs import SpringLaw, profile_deriv, profile_energy
@@ -128,7 +128,7 @@ class GrowthAnsatz:
     "isotropic" (one gamma for the whole class, any class), "diagonal" (one
     parameter per axis direction, class of axis directions),
     "rotated-diagonal" (one per diagonal, class {(1,1), (1,-1)}).  The
-    tensors themselves come from `decompose`, so for a class of two planar
+    tensors themselves come from `growth_tensors`, so for a class of two planar
     directions these are gamma * I, diag(a, b) and a tensor with
     eigenvectors along the diagonals.  Every parameter is fitted within
     `bounds`; the fit starts from each of the 2**P corners of the box at the
@@ -320,16 +320,14 @@ def fit_growth(
     """Fit homogenised growth tensors in the given ansatz to measured
     energies of the grown system; the part energies come from `dec` and do
     not change during the fit.  The fit is over per-direction growth
-    factors tied by the ansatz; the reported G_1 and G_2 are those of
-    `decompose` for `dec`'s lattice carrying the fitted factors."""
+    factors tied by the ansatz; the reported G_1 and G_2 are the
+    `growth_tensors` of `dec`'s parts for the fitted factors."""
     if dec.lattice.law.p != 0:
         raise ValueError("growth fitting is defined for recombination laws (p = 0)")
     names, param_of_dir = _ansatz_params(dec, ansatz)
-    partition = [p.directions for p in dec.parts]
 
     def tensors(x):
-        fitted = decompose(replace(dec.lattice, growth=tuple(x[param_of_dir])), partition)
-        return {f"G_{k + 1}": p.growth.tolist() for k, p in enumerate(fitted.parts)}
+        return {f"G_{k + 1}": g.tolist() for k, (g, _) in enumerate(growth_tensors(dec.parts, x[param_of_dir]))}
 
     return _fit(
         mapped_lengths(dec.lattice.connectivity.matrix, fs), targets, np.asarray(dec.lattice.rest), param_of_dir,

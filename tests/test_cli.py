@@ -216,3 +216,30 @@ def test_top_level_family_block_exits_2(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "family_overrides" in lines[0]
     assert not (tmp_path / "sim1_summary.json").exists()
+
+
+@pytest.mark.parametrize("override", [{"kind": "box-grid"}, {"lam": 1.2}])
+def test_family_overrides_other_than_count_and_ranges_exit_2(tmp_path, override):
+    # "kind" used to turn every family into box-grid under the families' own output names,
+    # and other unknown keys were ignored silently
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"count": 2, "n": 4, "family_overrides": override}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for name in (*override, "count", "lam_max", "lam_shear"):
+        assert repr(name) in lines[0]
+    assert not list(tmp_path.glob("sim1_*"))
+
+
+def test_family_overrides_set_count_and_ranges_of_every_family(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 4, "family_overrides": {"count": 3, "lam_max": 1.1, "lam_shear": 0.1}}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    assert result.returncode == 0, result.stderr
+    for family, lams in (("dilational", [1 / 1.1, (1 / 1.1 + 1.1) / 2, 1.1]), ("shear", [-0.1, 0.0, 0.1])):
+        header, *rows = read_csv(tmp_path / f"sim1_{family}_curves.csv")
+        assert header[0] == "lambda"
+        assert np.allclose([float(row[0]) for row in rows], lams, rtol=0.0, atol=1e-15)

@@ -17,8 +17,10 @@ from growlat.continuum import (
     extend_to_basis,
     fractional_error_map,
     ground_state,
+    growth_tensors,
     is_shear,
     mapped_directions,
+    mapped_lengths,
     multiplicative_admissible,
     rotation,
     shear_family,
@@ -48,6 +50,32 @@ class TestMappedDirections:
         got = mapped_directions(directions, fs)
         assert got.shape == shape[:-2] + (4, 2)
         assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("grid", ["ex7", "random"])
+    def test_one_gemm_matches_the_batched_matmul_to_the_bit(self, grid):
+        directions = square_lattice().connectivity.matrix
+        if grid == "ex7":  # the F's of `error-map ex7`, from its default grid
+            a, b, c = np.meshgrid(np.linspace(0.8, 1.25, 46), np.linspace(0.8, 1.25, 46), np.linspace(-0.5, 0.5, 41),
+                                  indexing="ij")
+            fs = np.zeros(a.shape + (2, 2))
+            fs[..., 0, 0], fs[..., 1, 1], fs[..., 0, 1] = a, b, c
+        else:
+            fs = np.random.default_rng(11).standard_normal((3, 7, 5, 2, 2))
+        batched = np.swapaxes(fs @ directions.T, -1, -2)
+        assert mapped_directions(directions, fs).tobytes() == np.ascontiguousarray(batched).tobytes()
+        assert mapped_lengths(directions, fs).tobytes() == np.linalg.norm(batched, axis=-1).tobytes()
+        for f in fs.reshape(-1, 2, 2)[:: max(1, fs[..., 0, 0].size // 50)]:
+            assert mapped_lengths(directions, f).tobytes() == np.linalg.norm(f @ directions.T, axis=0).tobytes()
+
+    def test_three_dimensional_connectivity_matches_to_rounding(self):
+        directions = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 1], [0, 1, -1]], dtype=float)
+        fs = np.random.default_rng(12).standard_normal((9, 4, 3, 3))
+        batched = np.swapaxes(fs @ directions.T, -1, -2)
+        got = mapped_directions(directions, fs)
+        assert got.shape == (9, 4, 6, 3)
+        assert np.all(np.abs(got - batched) <= 1e-15 * np.abs(batched))
+        lengths = np.linalg.norm(batched, axis=-1)
+        assert np.all(np.abs(mapped_lengths(directions, fs) - lengths) <= 1e-15 * lengths)
 
 
 class TestCauchyBorn:
@@ -259,6 +287,42 @@ class TestDecomposition:
             assert abs(dec.grown_energy(f) - w_g) <= 1e-12 * (1 + abs(w_g))
             for part in dec.parts:
                 assert np.allclose(part.growth @ part.growth_inv, np.eye(3), rtol=0.0, atol=1e-12)
+
+    def test_stacked_energies_equal_the_per_f_values_to_the_bit(self):
+        rng = np.random.default_rng(13)
+        fs = np.eye(2) + 0.4 * rng.standard_normal((4, 5, 2, 2))
+        for choice in square_partition_choices():
+            dec = decompose(apply_growth(square_lattice(), (1.3, 0.7, 0.9, 1.1)), choice)
+            stacked = {
+                "part 0": dec.part_energy(0, fs),
+                "part 1": dec.part_energy(1, fs),
+                "initial": dec.initial_energy(fs),
+                "grown": dec.grown_energy(fs),
+            }
+            for name, energies in stacked.items():
+                assert energies.shape == (4, 5), name
+            for index in np.ndindex(4, 5):
+                single = {
+                    "part 0": dec.part_energy(0, fs[index]),
+                    "part 1": dec.part_energy(1, fs[index]),
+                    "initial": dec.initial_energy(fs[index]),
+                    "grown": dec.grown_energy(fs[index]),
+                }
+                for name, energy in single.items():
+                    assert type(energy) is np.float64 and energy.shape == (), name
+                    assert energy.tobytes() == stacked[name][index].tobytes(), (name, index)
+
+    def test_stacked_growth_tensors_equal_per_lattice_decompose_to_the_bit(self):
+        growths = np.random.default_rng(14).uniform(0.7, 1.4, (12, 4))
+        for choice in square_partition_choices():
+            parts = decompose(square_lattice(), choice).parts
+            tensors = growth_tensors(parts, growths.reshape(3, 4, 4))
+            for i, growth in enumerate(growths):
+                dec = decompose(apply_growth(square_lattice(), growth), choice)
+                for (g, g_inv), part in zip(tensors, dec.parts):
+                    assert g.shape == g_inv.shape == (3, 4, 2, 2)
+                    assert g[divmod(i, 4)].tobytes() == part.growth.tobytes()
+                    assert g_inv[divmod(i, 4)].tobytes() == part.growth_inv.tobytes()
 
     def test_partition_validation(self):
         lat = square_lattice()

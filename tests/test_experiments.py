@@ -1,0 +1,60 @@
+import math
+
+import numpy as np
+import pytest
+
+from growlat import continuum, experiments, lattice
+
+
+def worst_residuals_by_draw(seed, n_random, perturb_g2):
+    """The exactness and shear suites of `run_checks`, one lattice, one
+    decomposition and one F at a time: the reference for its stacks."""
+    rng = np.random.default_rng(seed)
+    law = lattice.SpringLaw(2, 0.0)
+    worst = 0.0
+    for _ in range(n_random):
+        growth = tuple(rng.uniform(0.7, 1.4, 4))
+        lat = lattice.apply_growth(lattice.square_lattice(law=law), growth)
+        f = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
+        w_g = continuum.cauchy_born_energy(lat, f)
+        for choice in continuum.square_partition_choices():
+            dec = continuum.decompose(lat, choice)
+            inverses = [part.growth_inv for part in dec.parts]
+            if perturb_g2:
+                g2 = dec.parts[1].growth.copy()
+                g2[0, 1] += perturb_g2
+                inverses[1] = np.linalg.inv(g2)
+            recon = sum(dec.part_energy(k, f @ g_inv) for k, g_inv in enumerate(inverses))
+            worst = max(worst, abs(recon - w_g) / (1.0 + abs(w_g)))
+
+    worst_shear = 0.0
+    lat0 = lattice.square_lattice(law=law)
+    for c, choice in enumerate(continuum.square_partition_choices()):
+        dec = continuum.decompose(lat0, choice)
+        for part in range(2):
+            for theta in np.linspace(0.05, 2 * math.pi - 0.05, 50):
+                worst_shear = max(worst_shear, abs(dec.part_energy(part, continuum.shear_family(c, part, theta))))
+    return worst, worst_shear
+
+
+@pytest.mark.parametrize("perturb_g2", [0.0, 1e-3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_checks_matches_the_per_draw_reference(seed, perturb_g2):
+    report = experiments.run_checks(seed=seed, n_random=20, perturb_g2=perturb_g2)
+    worst, worst_shear = worst_residuals_by_draw(seed, 20, perturb_g2)
+    assert report["checks"]["decomposition_exactness"]["worst_residual"] == worst
+    assert report["checks"]["shear_family_vanishing"]["worst_residual"] == worst_shear
+    assert report["checks"]["decomposition_exactness"]["ok"] == (not perturb_g2)
+
+
+def test_run_checks_decomposes_once_per_partition(monkeypatch):
+    calls = []
+    decompose = continuum.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(continuum, "decompose", counted)
+    assert experiments.run_checks(n_random=20)["ok"]
+    assert 0 < len(calls) <= 3

@@ -115,6 +115,28 @@ def test_fit_growth_recovers_full_rank_parameters():
     assert result.n_used == len(fs) and result.excluded == ()
 
 
+def test_diagonal_ansatz_recovers_planted_axis_factors():
+    # G_1 = diag(a, b) on the axis class, G_2 = gamma_2 I on the diagonals
+    law = lattice.SpringLaw(q=3)
+    _, fs = sample_family(DeformationFamily("box-grid", lam_max=1.25, lam_shear=0.25, count=3))
+    grown = lattice.apply_growth(lattice.square_lattice(law=law), (1.1, 0.9, 1.05, 1.05))
+    result = fit_growth(sim1_decomposition(law), fs, continuum.cauchy_born_energy_many(grown, fs),
+                        GrowthAnsatz("diagonal", "isotropic"))
+    got = [result.parameters[k] for k in ("gamma_1a", "gamma_1b", "gamma_2")]
+    assert np.allclose(got, (1.1, 0.9, 1.05), rtol=0.0, atol=1e-8)
+    assert np.allclose(result.groups["G_1"], np.diag(got[:2]), rtol=0.0, atol=1e-15)
+    assert np.allclose(result.groups["G_2"], got[2] * np.eye(2), rtol=0.0, atol=1e-15)
+    assert result.rank == 3
+    assert result.relative_mse <= 1e-20
+
+
+def test_diagonal_form_on_the_diagonal_class_is_rejected():
+    law = lattice.SpringLaw(q=3)
+    fs = one_sided_shears()
+    with pytest.raises(ValueError, match="diagonal form needs a class of axis directions"):
+        fit_growth(sim1_decomposition(law), fs, np.ones(len(fs)), GrowthAnsatz("isotropic", "diagonal"))
+
+
 def test_zero_targets_are_excluded_with_nan_errors():
     law = lattice.SpringLaw(q=3)
     truth = (1.1, 0.9, 1.2)
