@@ -63,11 +63,9 @@ from .solver import (
     total_energy,
 )
 from .homogenize import (
-    ConvergenceStudy,
     DeformationFamily,
     FitResult,
     GrowthAnsatz,
-    convergence_study,
     fit_growth,
     fit_rest_lengths,
     fitted_representative,

@@ -22,7 +22,13 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _apply_overrides(config, args):
@@ -67,7 +73,8 @@ def main(argv=None) -> int:
     p_sim.add_argument("--n", type=int, default=None, help="lattice side count override")
     p_sim.add_argument("--q", type=int, default=None, help="spring profile exponent override")
     p_sim.add_argument("--family", choices=["h", "v", "d", "s", "box"], default=None)
-    p_sim.add_argument("--no-convergence", action="store_true", help="skip the grid-size study")
+    # accepted and ignored, so that command lines still passing it (bench/workloads.py) keep parsing
+    p_sim.add_argument("--no-convergence", action="store_true", help=argparse.SUPPRESS)
 
     p_oned = sub.add_parser("oned", help="1-D chain vs continuum convergence")
     p_oned.add_argument("--q", type=int, default=None)
@@ -85,11 +92,10 @@ def main(argv=None) -> int:
                          help="negative control: offset added to one growth-tensor entry")
 
     args = parser.parse_args(argv)
-    config = _apply_overrides(_load_config(args.config), args)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
+        config = _apply_overrides(_load_config(args.config), args)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "error-map":
             summary = experiments.run_example_error_map(args.example, out, config)
             g = np.asarray(summary["growth_tensor"])
@@ -97,8 +103,6 @@ def main(argv=None) -> int:
             for key, frac in summary["exceed_fraction"].items():
                 print(f"  |error| > {key}: {frac:.4f} of the sampled domain")
         elif args.command == "simulate":
-            if args.no_convergence:
-                config["convergence"] = False
             summary = experiments.run_simulation(args.simulation, out, config)
             for label, fit in summary.get("fits", {}).items():
                 print(f"{args.simulation} [{label}]: {fit['parameters']}  "
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
                 print(f"{status} {name}{extra}")
             if not report["ok"]:
                 return 1
-    except (ValueError, continuum.GroundStateError, solver.ConvergenceError) as exc:
+    except (ValueError, OSError, continuum.GroundStateError, solver.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -86,7 +86,7 @@ def _fit_summary(fit):
     }
 
 
-def _sim_scenario(name, config, law):
+def _sim_scenario(name, config):
     """Connectivity, rest spec, growth scenario, and ansatz of a simulation."""
     co = lattice.square_connectivity()
     seed = int(config.get("seed", 0))
@@ -133,7 +133,7 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     if name == "sim2-sweep":
         return _run_sim2_sweep(out, config, law, opts)
 
-    co, rest, scenario, ansatz = _sim_scenario(name, config, law)
+    co, rest, scenario, ansatz = _sim_scenario(name, config)
     n = int(config.get("n", 16))
     mode = config.get("relaxation", "branch")
     default_lam = 1.25 if name == "sim1" else 1.5
@@ -185,31 +185,6 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         model = np.where(np.isfinite(fit.errors), targets * (1.0 - fit.errors), np.nan)
         write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"],
                   [*params.T, targets, model, fit.errors])
-
-    if name == "sim1" and config.get("convergence", True):
-        ns = [int(x) for x in config.get("ns", (8, 16, 32, 64))]
-        family = homogenize.DeformationFamily("dilational", lam_max=default_lam, count=int(config.get("count", 60)))
-        lams, fs = homogenize.sample_family(family)
-        dec = continuum.decompose(
-            lattice.HomogeneousLattice(co, rest, (), law), continuum.square_partition_choices()[0]
-        )
-        study = homogenize.convergence_study(
-            lambda nn: lattice.build_sample(co, nn, rest, scenario, law),
-            ns, fs, lambda nn: dec, ansatz, solver_opts=opts, mode=mode,
-        )
-        fits = [row.fit for row in study.rows]
-        write_csv(out / "sim1_convergence.csv",
-                  ["n", "gamma_1", "gamma_plus", "gamma_minus", "mse_mean", "mse_sum"],
-                  [[row.n for row in study.rows],
-                   *([fit.parameters.get(k) for fit in fits] for k in ("gamma_1", "gamma_plus", "gamma_minus")),
-                   [fit.relative_mse for fit in fits], [fit.mse_sum for fit in fits]])
-        summary["convergence"] = {
-            "ns": ns,
-            "drift": study.drift,
-            "mse_increased": study.mse_increased,
-            "converged": study.converged,
-            "rows": [{"n": r.n, **_fit_summary(r.fit)} for r in study.rows],
-        }
 
     write_json(out / f"{name}_summary.json", summary)
     return summary
@@ -309,6 +284,7 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
     perturb_g2 adds the given value to G_2[0, 1] of every draw, and the
     reconstruction then uses the inverses of those perturbed tensors (a
     negative control: any nonzero perturbation must make the suite fail).
+    A NaN residual is carried into its suite's worst residual and fails it.
     """
     rng = np.random.default_rng(seed)
     law = lattice.SpringLaw(2, 0.0)
@@ -331,7 +307,7 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
             g2[..., 0, 1] += perturb_g2
             inverses[1] = np.linalg.inv(g2)
         recon = sum(dec.part_energy(k, fs @ g_inv) for k, g_inv in enumerate(inverses))
-        worst = max(worst, float(np.max(np.abs(recon - w_g) / (1.0 + np.abs(w_g)), initial=0.0)))
+        worst = float(np.maximum(worst, np.max(np.abs(recon - w_g) / (1.0 + np.abs(w_g)), initial=0.0)))
     ok = worst <= 1e-12
     report["checks"]["decomposition_exactness"] = {"worst_residual": worst, "ok": ok}
 
@@ -341,7 +317,7 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
     for c, dec in enumerate(decs):
         for part in range(2):
             fs_shear = np.array([continuum.shear_family(c, part, theta) for theta in thetas])
-            worst_shear = max(worst_shear, float(np.max(np.abs(dec.part_energy(part, fs_shear)))))
+            worst_shear = float(np.maximum(worst_shear, np.max(np.abs(dec.part_energy(part, fs_shear)))))
     ok_shear = worst_shear <= 1e-12
     report["checks"]["shear_family_vanishing"] = {"worst_residual": worst_shear, "ok": ok_shear}
 
@@ -367,10 +343,10 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
             ok_order1 = False
         lat1 = lattice.HomogeneousLattice(co_1, (1.0,) * len(co_1.directions),
                                           tuple(rng.uniform(0.8, 1.2, len(co_1.directions))), law)
-        worst_order1 = max(
+        worst_order1 = float(np.maximum(
             worst_order1,
             abs(continuum.cauchy_born_energy(lat1, f) - continuum.cauchy_born_energy(lat1, np.eye(2))),
-        )
+        ))
     ok_order1 = ok_order1 and worst_order1 <= 1e-12
     report["checks"]["order1_witness_shear"] = {"worst_residual": worst_order1, "ok": ok_order1}
 

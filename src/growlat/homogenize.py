@@ -119,6 +119,10 @@ def measured_energies(
 # ---------------------------------------------------------------------------
 # Fit machinery
 
+# every fitted parameter (a growth factor, or a rest length per unit
+# direction length) lies in this box
+_BOUNDS = (0.5, 1.5)
+
 
 @dataclass(frozen=True)
 class GrowthAnsatz:
@@ -131,20 +135,17 @@ class GrowthAnsatz:
     tensors themselves come from `growth_tensors`, so for a class of two planar
     directions these are gamma * I, diag(a, b) and a tensor with
     eigenvectors along the diagonals.  Every parameter is fitted within
-    `bounds`; the fit starts from each of the 2**P corners of the box at the
-    quarter marks of `bounds` and keeps the start that ends lowest.
+    `_BOUNDS`; the fit starts from each of the 2**P corners of the box at the
+    quarter marks of `_BOUNDS` and keeps the start that ends lowest.
     """
 
     g1_form: str = "isotropic"
     g2_form: str = "isotropic"
-    bounds: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
         for form in (self.g1_form, self.g2_form):
             if form not in ("isotropic", "diagonal", "rotated-diagonal"):
                 raise ValueError(f"unknown ansatz form {form!r}")
-        if not 0 < self.bounds[0] < self.bounds[1]:
-            raise ValueError("bounds must be positive and increasing")
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def _relative_residuals(lengths, t, divisors, param_of_dir, n_params, law):
     return residuals, jacobian
 
 
-def _fit(lengths, targets, divisors, param_of_dir, names, law, bounds, groups) -> FitResult:
+def _fit(lengths, targets, divisors, param_of_dir, names, law, groups) -> FitResult:
     """Least-squares fit of the per-direction scale parameters x to the
     nonzero targets; `groups(x)` gives the result's groups."""
     from scipy.optimize import least_squares
@@ -203,10 +204,10 @@ def _fit(lengths, targets, divisors, param_of_dir, names, law, bounds, groups) -
         raise ValueError("all target energies are zero; the relative objective is degenerate")
     residuals, jacobian = _relative_residuals(lengths[used], targets[used], divisors, param_of_dir, len(names), law)
 
-    lo, hi = bounds
+    lo, hi = _BOUNDS
     best = None
     for start in itertools.product((lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)), repeat=len(names)):
-        res = least_squares(residuals, start, jac=jacobian, bounds=bounds, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        res = least_squares(residuals, start, jac=jacobian, bounds=_BOUNDS, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         if best is None or res.cost < best.cost:
             best = res
     x = best.x
@@ -229,32 +230,24 @@ def fit_rest_lengths(
     targets: np.ndarray,
     law: SpringLaw,
     connectivity: Connectivity,
-    *,
-    tied: bool = True,
-    bounds: tuple[float, float] = (0.5, 1.5),
 ) -> FitResult:
     """Optimal homogenised rest lengths for measured energies.
 
     Parameters are rest lengths per unit direction length (the literal rest
     length of direction v is parameter * ||v||), so all parameters live
-    near 1.  With tied=True, directions sharing a Euclidean norm share one
-    parameter (horizontal = vertical and the two diagonals tied, for the
-    square lattice); otherwise each direction gets its own.
+    near 1 and are fitted within `_BOUNDS`.  Directions sharing a Euclidean
+    norm share one parameter (horizontal = vertical and the two diagonals
+    tied, for the square lattice).
     """
     dir_norms = connectivity.norms()
-    if tied:
-        unique = sorted(set(np.round(dir_norms, 12)))
-        param_of_dir = np.array([unique.index(round(float(x), 12)) for x in dir_norms])
-        names = [f"ell{k}" for k in range(len(unique))]
-        groups = {
-            names[k]: tuple(v for v, g in zip(connectivity.directions, param_of_dir) if g == k)
-            for k in range(len(unique))
-        }
-    else:
-        param_of_dir = np.arange(len(dir_norms))
-        names = [f"ell_{'_'.join(str(c) for c in v)}" for v in connectivity.directions]
-        groups = {names[k]: (connectivity.directions[k],) for k in range(len(dir_norms))}
-    fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law, bounds,
+    unique = sorted(set(np.round(dir_norms, 12)))
+    param_of_dir = np.array([unique.index(round(float(x), 12)) for x in dir_norms])
+    names = [f"ell{k}" for k in range(len(unique))]
+    groups = {
+        names[k]: tuple(v for v, g in zip(connectivity.directions, param_of_dir) if g == k)
+        for k in range(len(unique))
+    }
+    fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law,
                lambda x: groups)
     fit.parameters.update({
         f"L_{'_'.join(str(c) for c in v)}": float(fit.parameters[names[param_of_dir[k]]] * dir_norms[k])
@@ -331,82 +324,5 @@ def fit_growth(
 
     return _fit(
         mapped_lengths(dec.lattice.connectivity.matrix, fs), targets, np.asarray(dec.lattice.rest), param_of_dir,
-        names, dec.lattice.law, ansatz.bounds, tensors,
+        names, dec.lattice.law, tensors,
     )
-
-
-# ---------------------------------------------------------------------------
-# Convergence studies
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    fit: FitResult
-
-
-# MSE changes within these (relative, absolute) are rounding, not growth
-_MSE_RTOL, _MSE_ATOL = 1e-9, 1e-20
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    rows: tuple[ConvergenceRow, ...]
-    drift_tol: float
-
-    @property
-    def drift(self) -> float:
-        """Max parameter change between the two largest N."""
-        if len(self.rows) < 2:
-            return 0.0
-        a, b = self.rows[-2].fit, self.rows[-1].fit
-        return float(max(abs(a.parameters[k] - b.parameters[k]) for k in a.parameters))
-
-    @property
-    def mse_increased(self) -> bool:
-        """The MSE grew, by more than _MSE_RTOL relative and _MSE_ATOL
-        absolute, from the second-largest to the largest N."""
-        if len(self.rows) < 2:
-            return False
-        a, b = self.rows[-2].fit.relative_mse, self.rows[-1].fit.relative_mse
-        return b > a * (1.0 + _MSE_RTOL) + _MSE_ATOL
-
-    @property
-    def converged(self) -> bool:
-        """Small drift, no MSE increase, and full rank at the two largest N: a
-        rank-deficient fit reports one arbitrary point of a set of optima, so
-        its drift says nothing about convergence.  (Rows hold `fit_growth`
-        results, whose parameters are exactly the fitted ones.)"""
-        full_rank = all(row.fit.rank == len(row.fit.parameters) for row in self.rows[-2:])
-        return self.drift <= self.drift_tol and not self.mse_increased and full_rank
-
-
-def convergence_study(
-    build,
-    ns,
-    fs: np.ndarray,
-    dec_for,
-    ansatz: GrowthAnsatz,
-    *,
-    solver_opts: SolverOptions | None = None,
-    drift_tol: float = 0.01,
-    mode: str = "branch",
-) -> ConvergenceStudy:
-    """Run build -> relax -> fit for each N and track parameter drift.
-
-    `build(n)` returns the finite sample for side count n; `dec_for(n)`
-    returns the decomposition whose parts feed the fit (usually independent
-    of n; for inhomogeneous initial lattices it may wrap a per-N rest fit).
-    Any non-convergent inner solve aborts the study.
-    """
-    rows = []
-    for n in ns:
-        sample = build(n)
-        try:
-            targets = measured_energies(sample, fs, solver_opts, mode)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"study aborted at N={n}: {exc}") from exc
-        dec = dec_for(n)
-        fit = fit_growth(dec, fs, targets, ansatz)
-        rows.append(ConvergenceRow(n, fit))
-    return ConvergenceStudy(tuple(rows), drift_tol)

@@ -13,6 +13,7 @@ ends), but nothing is quoted: a text cell that would need quotes raises.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +94,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -103,8 +104,10 @@ def _jsonify(obj):
 
 
 def write_json(path, obj):
+    """Write `obj` as sorted, indented JSON; a NaN or infinite float is
+    written as null, so the file is valid JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

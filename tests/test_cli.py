@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import itertools
 import json
 import os
@@ -44,11 +45,33 @@ def test_every_branch_simulation_names_its_failing_datum(tmp_path, simulation):
 
 
 def test_simulate_sim1_reaches_the_shear_optimum(tmp_path):
-    result = run_cli(tmp_path, "simulate", "sim1", "--no-convergence")
+    result = run_cli(tmp_path, "simulate", "sim1")
     assert result.returncode == 0, result.stderr
     fits = json.loads((tmp_path / "sim1_summary.json").read_text())["fits"]
     assert fits["shear"]["relative_mse_sum"] <= 6.2e-7
     assert all(isinstance(fit["jacobian_rank"], int) for fit in fits.values())
+
+
+def benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", SRC.parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_the_benchmark_sim1_command_writes_what_plain_sim1_writes(tmp_path):
+    # the benchmark still passes --no-convergence, which must keep parsing and change nothing
+    [argv] = benchmark_workloads()["sim1-fit"].commands
+    assert "--no-convergence" in argv
+    for out, args in ((tmp_path / "bench", argv), (tmp_path / "plain", ["simulate", "sim1"])):
+        result = run_cli(out, *args)
+        assert result.returncode == 0, result.stderr
+    files = ["sim1_dilational_curves.csv", "sim1_shear_curves.csv", "sim1_summary.json"]
+    for out in ("bench", "plain"):
+        assert sorted(path.name for path in (tmp_path / out).iterdir()) == files
+    for name in files:
+        assert (tmp_path / "bench" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert "convergence" not in json.loads((tmp_path / "plain" / "sim1_summary.json").read_text())
 
 
 def read_csv(path):
@@ -70,6 +93,21 @@ def test_error_map_ex7_writes_every_grid_point(tmp_path):
     masks = np.array([row[4:] for row in rows])
     assert set(masks.ravel()) <= {"0", "1"}
     assert np.array_equal(masks == "1", np.stack([emap.masks[0.10].ravel(), emap.masks[0.20].ravel()], axis=1))
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_oned_on_one_size_writes_a_null_rate(tmp_path):
+    # one size gives no observed rate; it used to be written as the invalid JSON "Infinity"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ns": [16]}))
+    result = run_cli(tmp_path, "--config", str(config), "oned")
+    assert result.returncode == 0, result.stderr
+    assert "observed rate~inf" in result.stdout
+    summary = json.loads((tmp_path / "oned_summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["results"][0]["rate"] is None
 
 
 def test_oned_writes_n_as_integers(tmp_path):
@@ -105,6 +143,17 @@ def test_check_passes_every_suite(tmp_path):
             name: name not in failing for name in PINNED_VERDICTS}
         assert sorted(line.split()[:2] for line in result.stdout.splitlines()) == sorted(
             ["FAIL" if name in failing else "PASS", name] for name in PINNED_VERDICTS)
+
+
+@pytest.mark.parametrize("perturb", ["nan", "inf"])
+def test_check_fails_on_a_non_finite_perturbation(tmp_path, perturb):
+    # max(worst, nan) used to drop the NaN residuals, so this negative control passed
+    result = run_cli(tmp_path, "check", "--perturb-g2", perturb)
+    assert result.returncode == 1, result.stderr
+    assert "FAIL decomposition_exactness (worst residual nan)" in result.stdout.splitlines()
+    report = json.loads((tmp_path / "checks_summary.json").read_text(), parse_constant=reject_constant)
+    assert report["checks"]["decomposition_exactness"] == {"ok": False, "worst_residual": None}
+    assert not report["ok"]
 
 
 def test_order_of_the_square_lattice_is_two(tmp_path):
@@ -155,7 +204,7 @@ def write_box_config(tmp_path, **extra):
 
 def test_box_grid_curves_write_one_column_per_parameter(tmp_path):
     result = run_cli(tmp_path, "--config", write_box_config(tmp_path), "simulate", "sim1",
-                     "--family", "box", "--n", "4", "--no-convergence")
+                     "--family", "box", "--n", "4")
     assert result.returncode == 0, result.stderr
     header, *rows = read_csv(tmp_path / "sim1_box-grid_curves.csv")
     assert header == ["lam1", "lam2", "lam3", "true_energy", "homogenized_energy", "fractional_error"]
@@ -168,8 +217,7 @@ def test_box_grid_curves_write_one_column_per_parameter(tmp_path):
 def test_sim4_box_grid_rest_curves_write_one_column_per_parameter(tmp_path):
     # the branch solve of sim4 stops at sample 0, so this run relaxes with `minimize`
     config = write_box_config(tmp_path, relaxation="minimize")
-    result = run_cli(tmp_path, "--config", config, "simulate", "sim4", "--family", "box", "--n", "4",
-                     "--no-convergence")
+    result = run_cli(tmp_path, "--config", config, "simulate", "sim4", "--family", "box", "--n", "4")
     assert result.returncode == 0, result.stderr
     header, *rows = read_csv(tmp_path / "sim4_box-grid_rest_curves.csv")
     assert header == ["lam1", "lam2", "lam3", "true_energy", "fractional_error"]
@@ -209,7 +257,7 @@ def test_top_level_family_block_exits_2(tmp_path):
     # a "family" block used to be ignored silently: {"count": 3} still wrote 60 rows
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"family": {"count": 3}}))
-    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
@@ -224,7 +272,7 @@ def test_family_overrides_other_than_count_and_ranges_exit_2(tmp_path, override)
     # and other unknown keys were ignored silently
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"count": 2, "n": 4, "family_overrides": override}))
-    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
@@ -237,9 +285,26 @@ def test_family_overrides_other_than_count_and_ranges_exit_2(tmp_path, override)
 def test_family_overrides_set_count_and_ranges_of_every_family(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 4, "family_overrides": {"count": 3, "lam_max": 1.1, "lam_shear": 0.1}}))
-    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1", "--no-convergence")
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
     assert result.returncode == 0, result.stderr
     for family, lams in (("dilational", [1 / 1.1, (1 / 1.1 + 1.1) / 2, 1.1]), ("shear", [-0.1, 0.0, 0.1])):
         header, *rows = read_csv(tmp_path / f"sim1_{family}_curves.csv")
         assert header[0] == "lambda"
         assert np.allclose([float(row[0]) for row in rows], lams, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["malformed", "missing", "array", "out-is-a-file"])
+def test_unreadable_config_or_output_directory_exits_2(tmp_path, case):
+    # each of these used to stop with a traceback before the run's error handling started
+    config = tmp_path / "config.json"
+    config.write_text({"malformed": "{", "array": "[1, 2]"}.get(case, "{}"))
+    if case == "missing":
+        config = tmp_path / "absent.json"
+    out = config if case == "out-is-a-file" else tmp_path / "runs"
+    result = run_cli(tmp_path, "--config", str(config), "--out", str(out), "order")  # the last --out wins
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert result.stdout == ""
+    assert not (tmp_path / "runs").exists()

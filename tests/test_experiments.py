@@ -47,6 +47,13 @@ def test_run_checks_matches_the_per_draw_reference(seed, perturb_g2):
     assert report["checks"]["decomposition_exactness"]["ok"] == (not perturb_g2)
 
 
+def test_run_checks_fails_exactness_on_a_nan_perturbation():
+    report = experiments.run_checks(n_random=20, perturb_g2=float("nan"))
+    exactness = report["checks"]["decomposition_exactness"]
+    assert math.isnan(exactness["worst_residual"]) and not exactness["ok"]
+    assert not report["ok"]
+
+
 def test_run_checks_decomposes_once_per_partition(monkeypatch):
     calls = []
     decompose = continuum.decompose
