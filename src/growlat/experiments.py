@@ -26,6 +26,10 @@ EXAMPLE_GROWTH = {
 }
 
 SIMULATIONS = ("sim1", "sim2", "sim2-sweep", "sim3", "sim4")
+# the top-level config keys each simulation reads; CLI flags set seed, n, q and families
+_COMMON = {"seed", "n", "q", "p", "families", "solver", "relaxation", "count"}
+_CONFIG_KEYS = {"sim1": _COMMON | {"family_overrides", "high"}, "sim2-sweep": _COMMON | {"deltas_hv", "deltas_d"},
+                **dict.fromkeys(("sim2", "sim3", "sim4"), _COMMON | {"family_overrides", "growth_interval"})}
 
 
 def _law(config):
@@ -116,15 +120,15 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
 
     The config's "families" picks the deformation families, and its
     "family_overrides" may set "count", "lam_max" and "lam_shear" for all
-    of them; any other override key raises ValueError."""
+    of them.  Any other override key, and any top-level key the simulation
+    does not read, raises ValueError."""
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
     config = dict(config or {})
-    if "family" in config:
-        raise ValueError("unknown config key 'family'; family settings go in 'family_overrides'")
+    if unknown := sorted(set(config) - _CONFIG_KEYS[name]):
+        raise ValueError(f"unknown config keys {unknown} for {name}; it reads {sorted(_CONFIG_KEYS[name])}")
     overrides = config.get("family_overrides", {})
-    unknown = sorted(set(overrides) - {"count", "lam_max", "lam_shear"})
-    if unknown:
+    if unknown := sorted(set(overrides) - {"count", "lam_max", "lam_shear"}):
         raise ValueError(f"unknown family_overrides keys {unknown}; "
                          "the allowed keys are 'count', 'lam_max' and 'lam_shear'")
     out = Path(out_dir)
@@ -154,7 +158,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     summary = {"config": resolved, "fits": {}}
 
     sample = lattice.build_sample(co, n, rest, scenario, law)
-    initial_sample = lattice.build_sample(co, n, rest, lattice.no_growth(co, seed=scenario.seed), law)
+    if name == "sim4":  # the ungrown sample, whose rest lengths sim4 fits
+        initial_sample = lattice.build_sample(co, n, rest, lattice.no_growth(co, seed=scenario.seed), law)
 
     for fam_kind in families:
         family = homogenize.DeformationFamily(

@@ -8,9 +8,9 @@ with one spawned child stream per direction and per field (rest, growth),
 so samples are bit-reproducible given the scenario seed.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,7 +241,8 @@ class FiniteLatticeSample:
     """Finite node-spring system on Z^D intersected with [0, N]^D.
 
     An edge (x, v) exists iff both x and x + v lie inside the box.  Edges
-    are stored as index pairs into the node table; `owned` marks the edges
+    are stored as index pairs into the node table, direction by direction
+    and, within a direction, by tail in node order; `owned` marks the edges
     counted by the per-cell normalisation (one spring of each direction
     per unit cell; the excluded springs connect boundary nodes only).
     """
@@ -284,42 +285,72 @@ class FiniteLatticeSample:
         differ by v read in base N - 1, so the interior Hessian is banded:
         for the square lattice, whose longest such difference is N (step
         (1, 1)), its half-bandwidth is 2N + 1 degrees of freedom, and the
-        band of `band_pattern` holds it and its Cholesky factor."""
+        band of `direction_plan` holds it and its Cholesky factor."""
         return np.flatnonzero(~self.boundary_mask())
 
     @cached_property
-    def band_pattern(self) -> tuple:
-        """(scatter, slot, width) of the interior stiffness matrix, built on
-        first use.  The matrix sums, over edges, a symmetric DxD block K_e
-        at the (tail, tail) and (head, head) node blocks and -K_e at
-        (tail, head) and (head, tail), restricted to the nodes off the
-        boundary; interior degree of freedom D k + a is axis a of node
-        `interior_nodes[k]`.  Its entries on and below the diagonal live in
-        an (m, width) array whose row j holds column j from the diagonal
-        down: the transpose of LAPACK's lower band storage, with `width` one
-        more than the half-bandwidth.  `slot` gives their flat positions in
-        that array, and `scatter`, a sparse matrix of +-1 entries, maps the
-        flattened (E, D, D) blocks onto them: band.ravel()[slot] =
-        scatter @ K.ravel()."""
-        import scipy.sparse as sp
+    def direction_plan(self) -> "DirectionPlan":
+        """This sample's `DirectionPlan`, built on first use."""
+        n, dim, zero = self.n, self.dimension, (0,) * self.dimension
+        pairs = tuple((b + j, b) for j in range(dim) for b in range(dim - j))  # by offset j = a - b
+        parts = [slice(pairs.index((j, 0)), pairs.index((j, 0)) + dim - j) for j in range(dim)]
+        width, start, runs = dim, 0, []
+        for v in self.connectivity.directions:
+            tail, head = _run_boxes(v, n)
+            box = tuple(t.stop - t.start for t in tail)
+            run = slice(start, start + int(np.prod(box)))
+            start = run.stop
 
-        dim, interior = self.dimension, self.interior_nodes
-        rank = np.full(self.n_nodes, -1)
-        rank[interior] = np.arange(interior.size)
-        ends = rank[self.edges]  # -1 if pinned
-        # node blocks (tail, tail), (head, head), (tail, head), (head, tail)
-        i, j = ends[:, [0, 1, 0, 1]], ends[:, [0, 1, 1, 0]]
-        edge, which = np.nonzero((i >= 0) & (j >= 0))
-        u, v = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-        column = (dim * i[edge, which, None, None] + u).ravel()
-        below = (dim * j[edge, which, None, None] + v).ravel() - column
-        width = int(below.max(initial=0)) + 1
-        lower = below >= 0
-        slot, entry = np.unique((column * width + below)[lower], return_inverse=True)
-        sign = np.repeat(np.array([1.0, 1.0, -1.0, -1.0])[which], dim * dim)[lower]
-        block = ((dim * edge[:, None, None] + u) * dim + v).ravel()[lower]
-        scatter = sp.csr_matrix((sign, (entry, block)), shape=(slot.size, self.n_edges * dim * dim))
-        return scatter, slot, width
+            def inside(*ends):  # box slices of the edges whose ends tail + e are interior, and the ends' slices
+                a = [max(t.start, *(1 - e[i] for e in ends)) for i, t in enumerate(tail)]
+                b = [min(t.stop, *(n - e[i] for e in ends)) for i, t in enumerate(tail)]
+                if all(x < y for x, y in zip(a, b)):
+                    return (tuple(slice(x - t.start, y - t.start) for x, y, t in zip(a, b, tail)),
+                            [tuple(slice(x + c - 1, y + c - 1) for x, y, c in zip(a, b, e)) for e in ends])
+
+            ops = []
+            for end in (v, zero) if v > zero else (zero, v):  # where v > 0, x's edge as head comes first
+                if sel := inside(end):
+                    ops += [(sel[1][0] + (slice(0, dim - j), j), sel[0] + (parts[j],), False) for j in range(dim)]
+            step = sum(c * (n - 1) ** (dim - 1 - i) for i, c in enumerate(v))
+            if sel := inside(zero, v):
+                width = max(width, dim * abs(step) + dim)
+                ops += [(sel[1][step < 0] + (slice(max(0, -j), dim - max(0, j)), dim * abs(step) + j),
+                         sel[0] + (parts[abs(j)],), True) for j in range(1 - dim, dim)]
+            runs.append((run, box, tail, head, tuple(ops)))
+        return DirectionPlan((n + 1,) * dim + (dim,), (slice(1, n),) * dim, (n - 1,) * dim + (dim, width),
+                             pairs, tuple(runs))
+
+
+class DirectionPlan(NamedTuple):
+    """Slices that assemble per-edge quantities one direction at a time.
+
+    `build_sample` stores the edges of each direction v as one run whose
+    tails fill a box of the node grid (shape `nodes`) in C order.  `runs`
+    holds per direction (run, box, tail, head, ops): the run's slice of the
+    edge arrays, the box shape and the grid slices of its tails and heads.
+    `interior` slices the interior nodes out of the grid.  The interior
+    Hessian's entries on and below the diagonal fill an (m, width) array
+    whose row j holds column j from the diagonal down (LAPACK's lower band
+    storage, transposed), viewed as `band`: interior grid, then (D, width).
+    Each (dest, src, subtract) of `ops` adds or subtracts the components
+    `pairs` of the edges' DxD blocks, box slice src, at band slice dest:
+    the diagonal blocks of interior ends in edge order, so each entry sums
+    as edge by edge does, and minus the block joining two interior ends at
+    band offset D |step| in the row of the lower-ranked end, step being the
+    interior-rank difference across v."""
+
+    nodes: tuple[int, ...]
+    interior: tuple[slice, ...]
+    band: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    runs: tuple
+
+
+def _run_boxes(v, n):
+    """Node-grid slices of the tails and of the heads of the springs of step v in [0, n]^D."""
+    tail = tuple(slice(max(0, -c), n + 1 - max(0, c)) for c in v)
+    return tail, tuple(slice(t.start + c, t.stop + c) for t, c in zip(tail, v))
 
 
 def build_sample(
@@ -339,8 +370,7 @@ def build_sample(
     """
     if n < 2:
         raise ValueError("side count N must be at least 2")
-    d = connectivity.dimension
-    dirs = connectivity.directions
+    d, dirs = connectivity.dimension, connectivity.directions
     if scenario is None:
         scenario = no_growth(connectivity)
     if scenario.kind == "homogeneous" and len(scenario.factors) != len(dirs):
@@ -351,48 +381,26 @@ def build_sample(
         raise ValueError("checkerboard scenario is defined for the square connectivity only")
 
     shape = (n + 1,) * d
-    nodes = np.array(list(itertools.product(range(n + 1), repeat=d)), dtype=np.int64)
+    nodes = np.indices(shape).reshape(d, -1).T.copy()  # in node order, the grid's C order
+    index = np.arange(len(nodes)).reshape(shape)
+    boxes = [_run_boxes(v, n) for v in dirs]
+    edges = np.stack([np.concatenate([index[box].ravel() for box in ends]) for ends in zip(*boxes)], axis=1)
+    per_dir_tails = [nodes[index[tail].ravel()] for tail, _ in boxes]
+    edge_dirs = np.concatenate([np.full(len(xs), k) for k, xs in enumerate(per_dir_tails)])
+    # one spring of each direction per unit cell: springs lying in the
+    # face at coordinate N have no owning cell and are not counted
+    owned = np.concatenate([np.all(xs[:, [c == 0 for c in v]] < n, axis=1)
+                            for xs, v in zip(per_dir_tails, dirs)])
 
-    tails, dir_ids, owned_list = [], [], []
-    per_dir_tails = []
-    for k, v in enumerate(dirs):
-        ranges = [range(max(0, -c), n - max(0, c) + 1) for c in v]
-        xs = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-        per_dir_tails.append(xs)
-        tails.append(np.ravel_multi_index(xs.T, shape))
-        dir_ids.append(np.full(len(xs), k, dtype=np.int64))
-        # one spring of each direction per unit cell: springs lying in the
-        # face at coordinate N have no owning cell and are not counted
-        own = np.ones(len(xs), dtype=bool)
-        for axis, c in enumerate(v):
-            if c == 0:
-                own &= xs[:, axis] < n
-        owned_list.append(own)
-
-    tail_idx = np.concatenate(tails)
-    edge_dirs = np.concatenate(dir_ids)
-    owned = np.concatenate(owned_list)
-    heads = np.concatenate(
-        [np.ravel_multi_index((xs + np.asarray(v)).T, shape) for xs, v in zip(per_dir_tails, dirs)]
-    )
-    edges = np.stack([tail_idx, heads], axis=1).astype(np.int64)
-
-    root = np.random.SeedSequence(scenario.seed)
-    rest_seq, growth_seq = root.spawn(2)
-    rest_streams = rest_seq.spawn(len(dirs))
-    growth_streams = growth_seq.spawn(len(dirs))
+    rest_streams, growth_streams = (seq.spawn(len(dirs)) for seq in np.random.SeedSequence(scenario.seed).spawn(2))
 
     # rest lengths
+    rest_spec = [float(rest)] * len(dirs) if np.isscalar(rest) else list(rest)
+    if len(rest_spec) != len(dirs):
+        raise ValueError("rest specification must be a scalar or one entry per direction")
     rest_arr = np.empty(len(edges))
-    if np.isscalar(rest):
-        rest_spec = [float(rest)] * len(dirs)
-    else:
-        rest_spec = list(rest)
-        if len(rest_spec) != len(dirs):
-            raise ValueError("rest specification must be a scalar or one entry per direction")
-    for k in range(len(dirs)):
+    for k, entry in enumerate(rest_spec):
         sel = edge_dirs == k
-        entry = rest_spec[k]
         if np.isscalar(entry):
             if entry <= 0:
                 raise ValueError("rest lengths must be positive")
@@ -401,33 +409,21 @@ def build_sample(
             lo, hi = (float(entry[0]), float(entry[1]))
             if lo <= 0 or hi < lo:
                 raise ValueError(f"invalid rest interval ({lo}, {hi})")
-            rng = np.random.default_rng(rest_streams[k])
-            rest_arr[sel] = rng.uniform(lo, hi, int(sel.sum()))
+            rest_arr[sel] = np.random.default_rng(rest_streams[k]).uniform(lo, hi, sel.sum())
 
     # growth factors
     growth_arr = np.ones(len(edges))
-    if scenario.kind == "homogeneous":
-        for k in range(len(dirs)):
-            growth_arr[edge_dirs == k] = scenario.factors[k]
-    elif scenario.kind == "uniform-random":
-        for k in range(len(dirs)):
-            lo, hi = scenario.intervals[k]
-            rng = np.random.default_rng(growth_streams[k])
-            growth_arr[edge_dirs == k] = rng.uniform(lo, hi, int((edge_dirs == k).sum()))
-    else:  # checkerboard-diagonal
-        high = scenario.high
-        partner = float(np.sqrt(2.0 - high**2))
-        for k, v in enumerate(dirs):
-            if v in ((1, 0), (0, 1)):
-                continue
-            sel = edge_dirs == k
-            xs = per_dir_tails[k]
-            cell = xs + np.minimum(np.asarray(v), 0)  # owning cell of each diagonal spring
+    for k, v in enumerate(dirs):
+        sel = edge_dirs == k
+        if scenario.kind == "homogeneous":
+            growth_arr[sel] = scenario.factors[k]
+        elif scenario.kind == "uniform-random":
+            growth_arr[sel] = np.random.default_rng(growth_streams[k]).uniform(*scenario.intervals[k], sel.sum())
+        elif v not in ((1, 0), (0, 1)):  # checkerboard-diagonal: axis springs do not grow
+            high, partner = scenario.high, float(np.sqrt(2.0 - scenario.high**2))
+            cell = per_dir_tails[k] + np.minimum(np.asarray(v), 0)  # owning cell of each diagonal spring
             even = (cell.sum(axis=1) % 2) == 0
-            if v == (1, 1):
-                growth_arr[sel] = np.where(even, high, partner)
-            else:  # (1, -1)
-                growth_arr[sel] = np.where(even, partner, high)
+            growth_arr[sel] = np.where(even, high, partner) if v == (1, 1) else np.where(even, partner, high)
 
     return FiniteLatticeSample(
         connectivity=connectivity,

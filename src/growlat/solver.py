@@ -9,12 +9,14 @@ of a homogeneous sample agree with the Cauchy-Born density at every N.
 
 Both relaxation modes are Newton methods on the exact energy, gradient and
 interior Hessian, all three built from one call of the spring kernel
-(`springs.spring_terms`) per iterate; the per-edge Hessian blocks come from
-`springs.spring_hessian_block`, which the Cauchy-Born Hessian shares.  The
-interior degrees of freedom are numbered in node order
-(`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded, and
-one fixed scatter operator per sample maps the per-edge blocks straight
-into LAPACK's lower band storage (`FiniteLatticeSample.band_pattern`).
+(`springs.spring_terms`) per iterate; the per-edge Hessian blocks use the
+arithmetic of `springs.spring_hessian_block`, which the Cauchy-Born Hessian
+shares.  The interior degrees of freedom are numbered in node order
+(`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded.
+Edge vectors, gradient and band are each assembled one lattice direction
+at a time, by slices of the node grid that `build_sample`'s edge layout
+gives (`FiniteLatticeSample.direction_plan`): the band goes straight into
+LAPACK's lower band storage, and no per-edge index array is used.
 
 Both modes run one loop whose every step factors that band by Cholesky.
 `relax_branch` stays on the affine branch with capped Newton steps and
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import FiniteLatticeSample, build_sample, chain_connectivity
-from .springs import SpringLaw, per_length, profile_energy, spring_hessian_block, spring_terms
+from .springs import SpringLaw, per_length, profile_energy, spring_terms
 
 
 class ConvergenceError(RuntimeError):
@@ -58,6 +60,10 @@ class SolverOptions:
     # fixed step limit (_MINIMIZE_MAX_STEPS, _BRANCH_MAX_STEPS)
     gtol_rel: float = 1e-8
 
+    def __post_init__(self):
+        if not 0.0 < self.gtol_rel < np.inf:
+            raise ValueError(f"gtol_rel must be finite and positive, got {self.gtol_rel}")
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -72,45 +78,56 @@ class SolveReport:
 
 def _edge_terms(sample: FiniteLatticeSample, positions: np.ndarray, order: int):
     """Edge vectors, their lengths and the spring kernel's terms up to `order`."""
-    d = positions[sample.edges[:, 1]] - positions[sample.edges[:, 0]]
+    d, grid = np.empty((sample.n_edges, sample.dimension)), positions.reshape(sample.direction_plan.nodes)
+    for run, box, tail, head, _ in sample.direction_plan.runs:
+        np.subtract(grid[head], grid[tail], out=d[run].reshape(box + (-1,)))
     r = np.linalg.norm(d, axis=-1)
     return d, r, spring_terms(sample.law, r, sample.rest * sample.growth, sample.growth**sample.law.p, order)
 
 
 class _Iterate:
     """Energy, gradient and interior Hessian of a sample at one set of node
-    positions, all from one call of the spring kernel.  The Hessian is
-    assembled on request, into a band the caller holds."""
+    positions, from one call of the spring kernel, assembled by direction on
+    the node grid.  The Hessian is assembled on request, into a band the caller holds."""
 
     def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray):
         self.sample, self.positions = sample, positions
+        plan, grid = sample.direction_plan, positions.reshape(sample.direction_plan.nodes)
         self._springs = d, r, (self.edge_energies, slope, _) = _edge_terms(sample, positions, 2)
         self.energy = float(np.sum(self.edge_energies))
         force = per_length(slope, r)[:, None] * d  # contribution along each edge
-        m = sample.n_nodes
-        self.gradient = np.stack([
-            np.bincount(sample.edges[:, 1], weights=force[:, axis], minlength=m)
-            - np.bincount(sample.edges[:, 0], weights=force[:, axis], minlength=m)
-            for axis in range(sample.dimension)
-        ], axis=1)
-        self.x = positions[sample.interior_nodes].ravel()
-        self.grad = self.gradient[sample.interior_nodes].ravel()
+        heads, tails = np.zeros((2,) + plan.nodes)  # summed apart, then subtracted, node by node
+        for run, box, tail, head, _ in plan.runs:
+            at_heads, at_tails, f = heads[head], tails[tail], force[run].reshape(box + (-1,))
+            at_heads += f
+            at_tails += f
+        self.gradient = (heads - tails).reshape(positions.shape)
+        self.x = grid[plan.interior].reshape(-1)
+        self.grad = self.gradient.reshape(plan.nodes)[plan.interior].reshape(-1)
         self.grad_norm = float(np.max(np.abs(self.grad))) if self.grad.size else 0.0
 
     def band(self, out: np.ndarray) -> np.ndarray:
-        """Fill `out`, laid out as the sample's fixed `band_pattern`, with the
-        interior Hessian on and below the diagonal, and return it.  Per edge,
-        `springs.spring_hessian_block` gives the DxD block of the spring
-        energy in the edge vector; the pattern's scatter maps them onto `out`."""
-        scatter, slot, _ = self.sample.band_pattern
+        """Fill `out`, laid out as the sample's `direction_plan` says, with the
+        interior Hessian on and below the diagonal, and return it.  The edge
+        blocks are those of `springs.spring_hessian_block`, to the bit."""
+        plan = self.sample.direction_plan
         d, r, (_, slope, curvature) = self._springs
+        tension = per_length(slope, r)
+        a, b = zip(*plan.pairs)
+        parts = per_length(curvature - tension, r * r)[:, None] * (d[:, a] * d[:, b])
+        parts[:, :self.sample.dimension] += tension[:, None]  # the pairs (a, a) come first
         out.fill(0.0)
-        out.ravel()[slot] = scatter @ spring_hessian_block(d, r, slope, curvature).ravel()
+        grid = out.reshape(plan.band)
+        for run, box, _, _, ops in plan.runs:
+            block = parts[run].reshape(box + (-1,))
+            for dest, src, subtract in ops:
+                (np.subtract if subtract else np.add)(grid[dest], block[src], out=grid[dest])
         return out
 
     def moved(self, x: np.ndarray) -> "_Iterate":
+        plan = self.sample.direction_plan
         positions = self.positions.copy()
-        positions[self.sample.interior_nodes] = x.reshape(-1, self.sample.dimension)
+        positions.reshape(plan.nodes)[plan.interior] = x.reshape(plan.band[:-1])
         return _Iterate(self.sample, positions)
 
     def converged(self, opts: SolverOptions) -> bool:
@@ -132,8 +149,6 @@ def energy_and_gradient(sample: FiniteLatticeSample, positions: np.ndarray):
 
 
 def _affine_start(sample: FiniteLatticeSample, boundary: AffineBoundary) -> _Iterate:
-    if sample.dimension > 2:
-        raise ValueError("relaxation supports dimensions 1 and 2")
     f = np.asarray(boundary.f, dtype=float)
     if f.shape != (sample.dimension, sample.dimension):
         raise ValueError("boundary gradient shape must match the sample dimension")
@@ -225,8 +240,12 @@ def _newton(sample: FiniteLatticeSample, boundary: AffineBoundary, opts: SolverO
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
     opts = opts or SolverOptions()
+    if sample.dimension > 2:
+        raise ValueError("relaxation supports dimensions 1 and 2")
+    # refilled at each step and factored in place; taken before the first
+    # iterate, so it can reuse the memory the previous solve's band freed
+    band = np.empty(sample.direction_plan.band).reshape(-1, sample.direction_plan.band[-1])
     it = _affine_start(sample, boundary)
-    band = np.empty((it.x.size, sample.band_pattern[2]))  # refilled at each step and factored in place
     max_steps = _BRANCH_MAX_STEPS if branch else _MINIMIZE_MAX_STEPS
     radius, steps = _STEP_CAP, 0
     reason = f"no convergence in {max_steps} Newton steps"

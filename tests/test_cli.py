@@ -266,6 +266,52 @@ def test_top_level_family_block_exits_2(tmp_path):
     assert not (tmp_path / "sim1_summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "simulation, unread",
+    [
+        ("sim1", {"ns": [8], "convergence": True, "nonsense_key": 1}),
+        ("sim2", {"high": 1.3}),
+        ("sim2-sweep", {"growth_interval": [0.9, 1.1], "family_overrides": {"count": 3}}),
+        ("sim3", {"deltas_hv": [0.1]}),
+        ("sim4", {"nonsense_key": 1}),
+    ],
+)
+def test_simulations_reject_top_level_keys_they_do_not_read(tmp_path, simulation, unread):
+    # sim1 used to ignore such keys and write its default outputs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 4, "count": 2, **unread}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", simulation)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: unknown config keys {sorted(unread)} for {simulation};")
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+def test_keys_that_flags_set_count_as_read(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "n": 8, "q": 3, "families": ["dilational"], "count": 2}))
+    result = run_cli(tmp_path, "--config", str(config), "--seed", "0", "simulate", "sim1",
+                     "--n", "4", "--q", "2", "--family", "s")
+    assert result.returncode == 0, result.stderr
+    resolved = json.loads((tmp_path / "sim1_summary.json").read_text())["config"]
+    assert (resolved["seed"], resolved["n"], resolved["q"], resolved["families"]) == (0, 4, 2, ["shear"])
+
+
+@pytest.mark.parametrize("gtol_rel", [-1, 0])
+def test_a_solver_tolerance_that_is_not_positive_exits_2(tmp_path, gtol_rel):
+    # such a tolerance used to run every solve to its step limit before it failed
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 4, "count": 2, "solver": {"gtol_rel": gtol_rel}}))
+    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "gtol_rel" in lines[0]
+    assert not list(tmp_path.glob("sim1_*"))
+
+
 @pytest.mark.parametrize("override", [{"kind": "box-grid"}, {"lam": 1.2}])
 def test_family_overrides_other_than_count_and_ranges_exit_2(tmp_path, override):
     # "kind" used to turn every family into box-grid under the families' own output names,

@@ -276,18 +276,26 @@ class TestInteriorNodes:
 
     @pytest.mark.parametrize(
         "connectivity, half_width",
-        [(square_connectivity(), 2 * 12 + 1), (Connectivity(2, ((1, 0), (0, 1), (2, 1))), 4 * 12 - 1)],
-        ids=["square", "knight"],
+        [
+            (square_connectivity(), 2 * 12 + 1),
+            (Connectivity(2, ((1, 0), (0, 1), (2, 1))), 4 * 12 - 1),
+            (Connectivity(2, ((1, 0), (0, 1), (-1, 2))), 2 * 12 - 1),
+            (chain_connectivity(), 1),
+        ],
+        ids=["square", "knight", "backward", "chain"],
     )
     def test_node_order_gives_a_band_that_holds_the_hessian_exactly(self, connectivity, half_width):
         # N = 12: step (1, 1) joins interior ranks N apart, so the square
         # lattice's band reaches 2N + 1 degrees of freedom below the
-        # diagonal; the knight's step (2, 1) joins ranks 2N - 1 apart
+        # diagonal; the knight's step (2, 1) joins ranks 2N - 1 apart; the
+        # step (-1, 2) joins ranks N - 3 apart with the head ranked first,
+        # and (1, 0) sets that band at N - 1; the chain's band is tridiagonal
         s = build_sample(connectivity, 12, 1.0, uniform_growth(((0.8, 1.2),) * len(connectivity.directions), seed=1))
         assert np.array_equal(s.interior_nodes, np.flatnonzero(~s.boundary_mask()))
-        width = s.band_pattern[2]
+        width = s.direction_plan.band[-1]
         assert width == half_width + 1
-        pos = s.affine_positions(np.eye(2)) + 0.05 * np.random.default_rng(2).standard_normal((s.n_nodes, 2))
+        dim = s.dimension
+        pos = s.affine_positions(np.eye(dim)) + 0.05 * np.random.default_rng(2).standard_normal((s.n_nodes, dim))
         band = interior_band(s, pos)
         want = assembled_hessian(s, pos)
         column, below = np.divmod(np.arange(band.size), width)
@@ -296,6 +304,38 @@ class TestInteriorNodes:
         assert np.array_equal(np.tril(dense_from_band(band)), np.tril(want))
         assert np.array_equal(want, want.T)
         assert np.any(np.diag(want, -half_width) != 0.0)
+
+
+class TestDirectionPlan:
+    @pytest.mark.parametrize(
+        "connectivity, n",
+        [
+            (square_connectivity(), 5),
+            (Connectivity(2, ((1, 0), (0, 1), (-1, 2), (2, 1))), 6),
+            (chain_connectivity(), 4),
+            (Connectivity(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1))), 3),
+        ],
+        ids=["square", "backward-knight", "chain", "cubic"],
+    )
+    def test_each_direction_slices_its_run_of_edges_out_of_the_node_grid(self, connectivity, n):
+        s = build_sample(connectivity, n, 1.0)
+        plan = s.direction_plan
+        index = np.arange(s.n_nodes).reshape(plan.nodes[:-1])
+        assert np.array_equal(s.nodes, np.stack(np.unravel_index(index.ravel(), index.shape), axis=1))
+        assert np.array_equal(index[plan.interior].ravel(), s.interior_nodes)
+        start = 0
+        for k, (run, box, tail, head, _) in enumerate(plan.runs):
+            assert run == slice(start, start + int(np.prod(box)))
+            start = run.stop
+            assert np.array_equal(index[tail].ravel(), s.edges[run, 0])
+            assert np.array_equal(index[head].ravel(), s.edges[run, 1])
+            assert np.all(s.edge_dirs[run] == k)
+        assert start == s.n_edges
+
+    def test_is_built_on_first_use_only(self):
+        s = build_sample(square_connectivity(), 4, 1.0)
+        assert "direction_plan" not in vars(s)
+        assert s.direction_plan is s.direction_plan
 
 
 class TestHomogeneousLattice:

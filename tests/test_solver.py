@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,9 +62,9 @@ def owned_energy(sample, positions):
 
 
 def interior_band(sample, positions):
-    """The interior Hessian on and below the diagonal, in `band_pattern` layout."""
+    """The interior Hessian on and below the diagonal, in `direction_plan` layout."""
     it = _Iterate(sample, positions)
-    return it.band(np.empty((it.x.size, sample.band_pattern[2])))
+    return it.band(np.empty((it.x.size, sample.direction_plan.band[-1])))
 
 
 def dense_from_band(band):
@@ -370,15 +371,15 @@ class TestHessian:
         size = 2 * int(interior.sum())
         want = np.tril(sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).toarray())
         band = interior_band(s, pos)
-        assert band.shape == (size, s.band_pattern[2])
+        assert band.shape == (size, s.direction_plan.band[-1])
         got = np.tril(dense_from_band(band))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_iterates_of_one_sample_share_one_pattern(self, monkeypatch):
-        fill, patterns = _Iterate.band, []
+    def test_iterates_of_one_sample_share_one_plan(self, monkeypatch):
+        fill, plans = _Iterate.band, []
 
         def recording_band(it, out):
-            patterns.append(it.sample.band_pattern)
+            plans.append(it.sample.direction_plan)
             return fill(it, out)
 
         monkeypatch.setattr(_Iterate, "band", recording_band)
@@ -386,8 +387,25 @@ class TestHessian:
         for f in (boundary.f, 1.1 * np.eye(2)):
             relax_branch(s, AffineBoundary(f))
             minimize(s, AffineBoundary(f))
-        assert len(patterns) > 4
-        assert all(pattern is patterns[0] for pattern in patterns)
+        assert len(plans) > 4
+        assert all(plan is plans[0] for plan in plans)
+
+    def test_a_branch_solve_needs_little_memory_beyond_its_band(self):
+        # sim2's sample at N = 48 under F = 1.1 I, a solve of a few Newton
+        # steps whose first use builds the sample's plan: beyond the band,
+        # the solve may hold 16 arrays of one float per edge and axis, where
+        # assembly by direction needs about 10 and a per-edge scatter 36
+        n = 48
+        s = build_sample(square_connectivity(), n, REST, uniform_growth(((0.8, 1.2),) * 4, seed=0), LAW)
+        band_bytes = 8 * 2 * s.interior_nodes.size * (2 * n + 2)
+        tracemalloc.start()
+        try:
+            report = relax_branch(s, AffineBoundary(1.1 * np.eye(2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged and report.iterations >= 3
+        assert peak < band_bytes + 16 * s.n_edges * 2 * 8
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +415,12 @@ def sim2_dilations_n8():
     s, _ = folded_datum(8)
     _, fs = sample_family(DeformationFamily("dilational"))
     return s, [relax_branch(s, AffineBoundary(f)) for f in fs]
+
+
+@pytest.mark.parametrize("gtol_rel", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_options_reject_a_tolerance_that_is_not_finite_and_positive(gtol_rel):
+    with pytest.raises(ValueError, match="gtol_rel"):
+        SolverOptions(gtol_rel=gtol_rel)
 
 
 class TestRelaxBranch:
