@@ -55,7 +55,6 @@ from .solver import (
     SolverOptions,
     constant_growth,
     linear_growth,
-    minimize,
     one_d_chain,
     relax_branch,
     one_d_chain_energy,

@@ -95,6 +95,8 @@ def main(argv=None) -> int:
     out = args.out
     try:
         config = _apply_overrides(_load_config(args.config), args)
+        if args.command in ("check", "order", "ground-state", "decompose"):
+            experiments.check_config_keys(config, args.command)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "error-map":
             summary = experiments.run_example_error_map(args.example, out, config)

@@ -26,10 +26,21 @@ EXAMPLE_GROWTH = {
 }
 
 SIMULATIONS = ("sim1", "sim2", "sim2-sweep", "sim3", "sim4")
-# the top-level config keys each simulation reads; CLI flags set seed, n, q and families
-_COMMON = {"seed", "n", "q", "p", "families", "solver", "relaxation", "count"}
+# the top-level config keys each simulation and command reads; CLI flags set
+# seed, n, q and families, and seed counts as read everywhere, as --seed is global
+_COMMON = {"seed", "n", "q", "p", "families", "solver", "count"}
 _CONFIG_KEYS = {"sim1": _COMMON | {"family_overrides", "high"}, "sim2-sweep": _COMMON | {"deltas_hv", "deltas_d"},
-                **dict.fromkeys(("sim2", "sim3", "sim4"), _COMMON | {"family_overrides", "growth_interval"})}
+                **dict.fromkeys(("sim2", "sim3", "sim4"), _COMMON | {"family_overrides", "growth_interval"}),
+                "error-map": {"seed", "q", "p", "grid_counts"}, "check": {"seed"},
+                "oned": {"seed", "q", "p", "profile", "rest", "f_values", "ns", "solver"},
+                **dict.fromkeys(("order", "ground-state", "decompose"), {"seed", "q", "p", "lattice"})}
+
+
+def check_config_keys(config: dict, name: str):
+    """Raise ValueError naming the top-level config keys that the simulation
+    or command `name` does not read."""
+    if unknown := sorted(set(config) - _CONFIG_KEYS[name]):
+        raise ValueError(f"unknown config keys {unknown} for {name}; it reads {sorted(_CONFIG_KEYS[name])}")
 
 
 def _law(config):
@@ -49,6 +60,7 @@ def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dic
     if name not in EXAMPLE_GROWTH:
         raise ValueError(f"unknown example {name!r}; choose from {sorted(EXAMPLE_GROWTH)}")
     config = dict(config or {})
+    check_config_keys(config, "error-map")
     law = _law(config)
     counts = config.get("grid_counts", (46, 46, 41))
     thresholds = (0.10, 0.20) if name == "ex7" else (0.10,)
@@ -125,8 +137,7 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
     config = dict(config or {})
-    if unknown := sorted(set(config) - _CONFIG_KEYS[name]):
-        raise ValueError(f"unknown config keys {unknown} for {name}; it reads {sorted(_CONFIG_KEYS[name])}")
+    check_config_keys(config, name)
     overrides = config.get("family_overrides", {})
     if unknown := sorted(set(overrides) - {"count", "lam_max", "lam_shear"}):
         raise ValueError(f"unknown family_overrides keys {unknown}; "
@@ -139,7 +150,6 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
 
     co, rest, scenario, ansatz = _sim_scenario(name, config)
     n = int(config.get("n", 16))
-    mode = config.get("relaxation", "branch")
     default_lam = 1.25 if name == "sim1" else 1.5
     default_shear = 0.25 if name == "sim1" else 0.5
     families = config.get("families", ["dilational", "shear"])
@@ -150,7 +160,6 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         "q": law.q,
         "p": law.p,
         "seed": int(config.get("seed", 0)),
-        "relaxation": mode,
         "rest": rest,
         "scenario_kind": scenario.kind,
         "families": families,
@@ -174,7 +183,7 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
         columns = ["lam1", "lam2", "lam3"] if family.kind == "box-grid" else ["lambda"]
 
         if name == "sim4":
-            init_targets = homogenize.measured_energies(initial_sample, fs, opts, mode)
+            init_targets = homogenize.measured_energies(initial_sample, fs, opts)
             rest_fit = homogenize.fit_rest_lengths(fs, init_targets, law, co)
             representative = homogenize.fitted_representative(rest_fit, co, law)
             summary["fits"][f"{fam_kind}_rest"] = _fit_summary(rest_fit)
@@ -184,7 +193,7 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
             representative = lattice.HomogeneousLattice(co, rest, (), law)
         dec = continuum.decompose(representative, continuum.square_partition_choices()[0])
 
-        targets = homogenize.measured_energies(sample, fs, opts, mode)
+        targets = homogenize.measured_energies(sample, fs, opts)
         fit = homogenize.fit_growth(dec, fs, targets, ansatz)
         summary["fits"][fam_kind] = _fit_summary(fit)
         model = np.where(np.isfinite(fit.errors), targets * (1.0 - fit.errors), np.nan)
@@ -204,7 +213,6 @@ def _run_sim2_sweep(out, config, law, opts):
     deltas_hv = list(config.get("deltas_hv", (0.0, 0.2, 0.4)))
     deltas_d = list(config.get("deltas_d", (0.0, 0.2, 0.4)))
     count = int(config.get("count", 21))
-    mode = config.get("relaxation", "branch")
     family = homogenize.DeformationFamily("dilational", lam_max=1.5, count=count)
     lams, fs = homogenize.sample_family(family)
     dec = continuum.decompose(
@@ -218,7 +226,7 @@ def _run_sim2_sweep(out, config, law, opts):
         iv_d = (1.0 - dd, 1.0 + dd)
         scenario = lattice.uniform_growth((iv_hv, iv_hv, iv_d, iv_d), seed=seed)
         sample = lattice.build_sample(co, n, rest, scenario, law)
-        targets = homogenize.measured_energies(sample, fs, opts, mode)
+        targets = homogenize.measured_energies(sample, fs, opts)
         fits.append(homogenize.fit_growth(dec, fs, targets, ansatz))
     write_csv(out / "sim2_sweep.csv",
               ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"],
@@ -238,16 +246,25 @@ def _run_sim2_sweep(out, config, law, opts):
 def run_oned(out_dir, config: dict | None = None) -> dict:
     """Chain energies versus the continuum value for a growth profile."""
     config = dict(config or {})
+    check_config_keys(config, "oned")
     out = Path(out_dir)
     law = _law(config)
     profile_spec = config.get("profile", {"kind": "linear", "a": 1.0, "b": 1.0})
-    if profile_spec.get("kind", "linear") == "constant":
+    profile_keys = {"linear": {"kind", "a", "b"}, "constant": {"kind", "value"}}
+    kind = profile_spec.get("kind", "linear") if isinstance(profile_spec, dict) else None
+    if kind not in ("linear", "constant") or set(profile_spec) - profile_keys[kind]:
+        raise ValueError(f"unknown profile {profile_spec!r}; it must be "
+                         "{'kind': 'linear', 'a': ..., 'b': ...} or {'kind': 'constant', 'value': ...}")
+    if kind == "constant":
         profile = solver.constant_growth(float(profile_spec.get("value", 1.0)))
     else:
         profile = solver.linear_growth(float(profile_spec.get("a", 1.0)), float(profile_spec.get("b", 0.0)))
     rest = float(config.get("rest", 1.0))
     f_values = [float(x) for x in config.get("f_values", (2.0,))]
     ns = [int(x) for x in config.get("ns", (16, 32, 64, 128, 256, 512))]
+    if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"ns must be a non-empty, strictly increasing list of chain sizes, got {ns}")
+    opts = _solver_opts(config)
 
     chains = []  # one per (f, n), n fastest
     results = []
@@ -255,7 +272,7 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
         continuum_value = solver.one_d_continuum_energy(profile, law, rest, f)
         errors = []
         for n in ns:
-            chains.append(solver.one_d_chain_energy(profile, n, rest, law, f, _solver_opts(config)))
+            chains.append(solver.one_d_chain_energy(profile, n, rest, law, f, opts))
             errors.append(abs(chains[-1] - continuum_value))
         # observed convergence order from the last grid doubling
         if len(ns) >= 2 and errors[-1] > 0:

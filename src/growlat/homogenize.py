@@ -22,7 +22,9 @@ import numpy as np
 
 from .continuum import Decomposition, growth_tensors, mapped_lengths
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
-from .solver import AffineBoundary, ConvergenceError, SolverOptions, minimize, relax_branch
+from .solver import AffineBoundary, ConvergenceError, SolverOptions, relax_branch
+# `bench/spans.py` wraps this name; ROADMAP item 4's benchmark change deletes it.
+from .solver import minimize  # noqa: F401
 from .springs import SpringLaw, profile_deriv, profile_energy
 
 _FAMILY_KINDS = ("horizontal", "vertical", "dilational", "shear", "box-grid")
@@ -91,25 +93,16 @@ def measured_energies(
     sample: FiniteLatticeSample,
     fs: np.ndarray,
     opts: SolverOptions | None = None,
-    mode: str = "branch",
 ) -> np.ndarray:
-    """Relaxed per-cell energy of the sample for each boundary gradient.
-
-    mode "branch" (default) equilibrates on the unbuckled branch with
-    step-capped Newton from the affine state (`relax_branch`, which stops
-    at the first iterate whose Hessian is not positive definite, or after
-    60 steps); mode "minimize" runs trust-region Newton to a local minimum
-    (`minimize`, at most 500 steps), which under strong compression can be
-    a folded state that the homogenised Cauchy-Born form cannot represent.
-    A solve that does not converge raises ConvergenceError, naming the
-    sample index and its boundary gradient F.
+    """Relaxed per-cell energy of the sample for each boundary gradient, from
+    the equilibrium on the unbuckled branch (`relax_branch`, which stops at
+    the first iterate whose Hessian is not positive definite, or after 60
+    steps).  A solve that does not converge raises ConvergenceError, naming
+    the sample index and its boundary gradient F.
     """
-    if mode not in ("branch", "minimize"):
-        raise ValueError(f"unknown relaxation mode {mode!r}")
-    relax = relax_branch if mode == "branch" else minimize
     out = np.empty(len(fs))
     for i, f in enumerate(fs):
-        report = relax(sample, AffineBoundary(f), opts)
+        report = relax_branch(sample, AffineBoundary(f), opts)
         if not report.converged:
             raise ConvergenceError(f"solve failed at sample {i}, F = {f.tolist()}: {report.message}")
         out[i] = report.per_cell_energy

@@ -7,23 +7,20 @@ per unit cell (the springs excluded by that convention connect boundary
 nodes only, so minimisers are unaffected), which makes the per-cell value
 of a homogeneous sample agree with the Cauchy-Born density at every N.
 
-Both relaxation modes are Newton methods on the exact energy, gradient and
-interior Hessian, all three built from one call of the spring kernel
-(`springs.spring_terms`) per iterate; the per-edge Hessian blocks use the
-arithmetic of `springs.spring_hessian_block`, which the Cauchy-Born Hessian
-shares.  The interior degrees of freedom are numbered in node order
+The relaxation, `relax_branch`, is a Newton method on the exact energy,
+gradient and interior Hessian, all three built from one call of the spring
+kernel (`springs.spring_terms`) per iterate; the per-edge Hessian blocks use
+the arithmetic of `springs.spring_hessian_block`, which the Cauchy-Born
+Hessian shares.  The interior degrees of freedom are numbered in node order
 (`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded.
 Edge vectors, gradient and band are each assembled one lattice direction
 at a time, by slices of the node grid that `build_sample`'s edge layout
 gives (`FiniteLatticeSample.direction_plan`): the band goes straight into
 LAPACK's lower band storage, and no per-edge index array is used.
 
-Both modes run one loop whose every step factors that band by Cholesky.
-`relax_branch` stays on the affine branch with capped Newton steps and
-stops at the first iterate whose Hessian is not positive definite: there
-the stable branch has ended.  `minimize` is a trust-region method that
-shifts an indefinite Hessian until it factors, so it may leave the affine
-branch for a folded minimum.
+Every step factors that band by Cholesky, which also tests the Hessian for
+positive definiteness: the solve follows the affine (unbuckled) branch
+only while it is stable, and stops where it ends.
 """
 
 import dataclasses
@@ -56,8 +53,7 @@ class AffineBoundary:
 @dataclass(frozen=True)
 class SolverOptions:
     # convergence means max|grad| <= gtol_rel * (1 + |E|) over the interior
-    # degrees of freedom, in both relaxation modes; each mode has its own
-    # fixed step limit (_MINIMIZE_MAX_STEPS, _BRANCH_MAX_STEPS)
+    # degrees of freedom; the step limit is fixed (_BRANCH_MAX_STEPS)
     gtol_rel: float = 1e-8
 
     def __post_init__(self):
@@ -171,37 +167,9 @@ def _report(it: _Iterate, iterations: int, opts: SolverOptions, reason: str) -> 
     )
 
 
-_MINIMIZE_MAX_STEPS = 500  # trust-region steps, taken or not, before `minimize` gives up
 # The bench fingerprints pin which branch solves fail, so these stay fixed.
-_BRANCH_MAX_STEPS = 60     # Newton steps before a branch solve gives up
-_STEP_CAP = 0.25           # largest nodal displacement of a branch step; first radius of `minimize`
-
-
-def minimize(
-    sample: FiniteLatticeSample,
-    boundary: AffineBoundary,
-    opts: SolverOptions | None = None,
-) -> SolveReport:
-    """Relax interior nodes under pinned affine boundary data to a local
-    minimum of the energy.
-
-    Trust-region Newton from the affine start on the exact gradient g and
-    Hessian H (Nocedal & Wright, ch. 4).  Where the banded Cholesky
-    factorisation of H fails, a shift mu, doubled from the size of the
-    failed pivot, is added to its diagonal until H + mu I factors (Moré &
-    Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  The step goes along
-    -(H + mu I)^-1 g to the minimum of the quadratic model on that ray or,
-    if nearer, to the radius in the largest nodal displacement; without a
-    shift, that is the capped Newton step.  The radius starts at 0.25, is
-    quartered where the energy falls by less than a quarter of the model's
-    prediction and doubled where it falls by more than three quarters of
-    it at the radius; a step that lowers the energy is taken.  Negative
-    curvature is thus followed, so under strong compression the solve
-    leaves the unbuckled branch for a folded minimum.  At most 500 steps,
-    taken or not.  Convergence means max|g| <= gtol_rel * (1 + |E|) over
-    the interior; anything else is reported, never silent.
-    """
-    return _newton(sample, boundary, opts, branch=False)
+_BRANCH_MAX_STEPS = 60     # Newton steps, taken or not, before a branch solve gives up
+_FIRST_RADIUS = 0.25       # first trust radius, in the largest nodal displacement of a step
 
 
 def relax_branch(
@@ -210,33 +178,30 @@ def relax_branch(
     opts: SolverOptions | None = None,
 ) -> SolveReport:
     """Equilibrium on the unbuckled branch, followed only while it is
-    stable: Newton from the affine state, each step capped at a nodal
-    displacement of 0.25.  The banded Cholesky factorisation (dpbtrf) of
-    the interior Hessian H also tests H for positive definiteness.
+    stable: trust-region Newton from the affine state on the exact gradient
+    g and interior Hessian H (Nocedal & Wright, ch. 4).
 
-    Where the factorisation fails, H is not positive definite at this
-    iterate: the stable branch has ended (for the square lattice under
-    compression, the known loss of Cauchy-Born stability; Friesecke &
-    Theil, J. Nonlinear Sci. 12, 2002), and the solve stops unconverged
-    without taking a step.  A failed pivot of 0 (or NaN), or a step that is
-    not finite, is reported as a singular Hessian instead.  The test covers
-    every iterate a step is taken from, but not the state where the
-    gradient test is met, so a converged state is not certified.
+    The banded Cholesky factorisation (dpbtrf) of H also tests H for
+    positive definiteness.  Where it fails, the stable branch has ended
+    (for the square lattice under compression, the known loss of
+    Cauchy-Born stability; Friesecke & Theil, J. Nonlinear Sci. 12, 2002),
+    and the solve stops unconverged without taking a step.  A failed pivot
+    of 0 (or NaN), or a step that is not finite, is reported as a singular
+    Hessian instead.  The test covers every iterate a step is taken from,
+    but not the state where the gradient test is met, so a converged state
+    is not certified.  Negative curvature is never followed, so the solve
+    cannot leave the branch for the folded minima that strong compression
+    also has, which the homogenised Cauchy-Born form cannot describe.
 
-    Otherwise the solve stops unconverged after 60 Newton steps.  Under
-    strong compression the energy also has folded minima far from the
-    affine state; `minimize` may fall into them, while the homogenised
-    Cauchy-Born form can only describe the unfolded branch.  Where the
-    affine-adjacent equilibrium is a stable minimum and H is positive
-    definite at every iterate on the way to it, this returns the same state
-    as `minimize`.
+    The step is the Newton step -H^-1 g, cut back to the trust radius in the
+    largest nodal displacement where it is longer.  The radius starts at
+    0.25; it is quartered where the energy falls by less than a quarter of
+    the quadratic model's prediction, and doubled where a cut-back step gets
+    more than three quarters of it.  A step that lowers the energy is taken.
+    At most 60 steps, taken or not.  Convergence means
+    max|g| <= gtol_rel * (1 + |E|) over the interior; anything else is
+    reported, never silent.
     """
-    return _newton(sample, boundary, opts, branch=True)
-
-
-def _newton(sample: FiniteLatticeSample, boundary: AffineBoundary, opts: SolverOptions | None,
-            branch: bool) -> SolveReport:
-    """The loop behind `relax_branch` (branch=True) and `minimize`."""
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
     opts = opts or SolverOptions()
@@ -246,45 +211,38 @@ def _newton(sample: FiniteLatticeSample, boundary: AffineBoundary, opts: SolverO
     # iterate, so it can reuse the memory the previous solve's band freed
     band = np.empty(sample.direction_plan.band).reshape(-1, sample.direction_plan.band[-1])
     it = _affine_start(sample, boundary)
-    max_steps = _BRANCH_MAX_STEPS if branch else _MINIMIZE_MAX_STEPS
-    radius, steps = _STEP_CAP, 0
-    reason = f"no convergence in {max_steps} Newton steps"
-    while not it.converged(opts) and steps < max_steps:
-        shift = 0.0
+    radius, steps = _FIRST_RADIUS, 0
+    reason = f"no convergence in {_BRANCH_MAX_STEPS} Newton steps"
+    while not it.converged(opts) and steps < _BRANCH_MAX_STEPS:
         factor, info = dpbtrf(it.band(band).T, lower=1, overwrite_ab=1)
         # on failure, info names the first leading minor that is not positive
         # and its pivot is left in place
-        while not branch and info > 0 and factor[0, info - 1] < 0.0:
-            shift = max(2.0 * shift, -factor[0, info - 1])
-            it.band(band)[:, 0] += shift
-            factor, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info > 0 and factor[0, info - 1] < 0.0:
             reason = "Hessian not positive definite on the affine branch"
             break
         delta = dpbtrs(factor, -it.grad, lower=1)[0] if info == 0 else None
         if delta is None or not np.all(np.isfinite(delta)):
-            reason = "singular Hessian" + (" on the affine branch" if branch else "")
+            reason = "singular Hessian on the affine branch"
             break
-        slope = it.grad @ delta  # negative: H + mu I is positive definite
-        curvature = -slope - shift * (delta @ delta)  # delta.H.delta, as (H + mu I) delta = -g
-        best = -slope / curvature if curvature > 0.0 else np.inf  # 1 without a shift
+        slope = it.grad @ delta  # -delta.H.delta, negative as H is positive definite
         cap = radius / np.max(np.abs(delta))
-        scale = min(best, cap)
+        scale = min(1.0, cap)
         delta *= scale
         trial = it.moved(it.x + delta)
         steps += 1
-        if branch:
-            it = trial
-            continue
-        predicted = -scale * (slope + 0.5 * scale * curvature)
+        predicted = -scale * (slope - 0.5 * scale * slope)  # fall of the quadratic model
         rho = (it.energy - trial.energy) / predicted
         if not rho >= 0.25:  # also where the trial energy is not finite
             radius /= 4.0
-        elif rho > 0.75 and cap <= best:
+        elif rho > 0.75 and cap <= 1.0:
             radius *= 2.0
         if rho > 0.0:
             it = trial
     return _report(it, steps, opts, reason)
+
+
+# `bench/spans.py` wraps this name; ROADMAP item 4's benchmark change deletes it.
+minimize = relax_branch
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +295,7 @@ def one_d_chain_energy(profile: GrowthProfile, n: int, rest: float, law: SpringL
                        opts: SolverOptions | None = None) -> float:
     """Per-cell energy of the relaxed grown chain stretched to mean F."""
     sample = one_d_chain(profile, n, rest, law)
-    report = minimize(sample, AffineBoundary(np.array([[float(f)]])), opts)
+    report = relax_branch(sample, AffineBoundary(np.array([[float(f)]])), opts)
     if not report.converged:
         raise ConvergenceError(f"chain relaxation failed: {report.message}")
     return report.per_cell_energy

@@ -215,8 +215,8 @@ def test_box_grid_curves_write_one_column_per_parameter(tmp_path):
 
 
 def test_sim4_box_grid_rest_curves_write_one_column_per_parameter(tmp_path):
-    # the branch solve of sim4 stops at sample 0, so this run relaxes with `minimize`
-    config = write_box_config(tmp_path, relaxation="minimize")
+    # on sim4's default lam_max of 1.5 the branch solve stops at sample 0
+    config = write_box_config(tmp_path, family_overrides={"lam_max": 1.2})
     result = run_cli(tmp_path, "--config", config, "simulate", "sim4", "--family", "box", "--n", "4")
     assert result.returncode == 0, result.stderr
     header, *rows = read_csv(tmp_path / "sim4_box-grid_rest_curves.csv")
@@ -296,6 +296,57 @@ def test_keys_that_flags_set_count_as_read(tmp_path):
     assert result.returncode == 0, result.stderr
     resolved = json.loads((tmp_path / "sim1_summary.json").read_text())["config"]
     assert (resolved["seed"], resolved["n"], resolved["q"], resolved["families"]) == (0, 4, 2, ["shear"])
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        (["error-map", "ex7"], {"grid_count": [4, 4, 4]}),
+        (["oned"], {"fvalues": [1.5]}),
+        (["check"], {"n": 4}),
+        (["order"], {"nonsense_key": 1}),
+        (["ground-state"], {"growth": [1.1, 1.1, 1.1, 1.1]}),
+        (["decompose"], {"nonsense_key": 1}),
+        (["simulate", "sim4", "--n", "4"], {"relaxation": "minimize"}),
+    ],
+    ids=["error-map", "oned", "check", "order", "ground-state", "decompose", "simulate-relaxation"],
+)
+def test_commands_reject_top_level_keys_they_do_not_read(tmp_path, command, unread):
+    # oned and error-map used to ignore such keys and run on their defaults;
+    # seed counts as read, as the global --seed flag sets it for every command
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, **unread}))
+    result = run_cli(tmp_path, "--config", str(config), *command)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    name = command[1] if command[0] == "simulate" else command[0]
+    assert len(lines) == 1 and lines[0].startswith(f"error: unknown config keys {sorted(unread)} for {name};")
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"ns": [16, 16]}, "ns must be a non-empty, strictly increasing list"),
+        ({"ns": [32, 16]}, "ns must be a non-empty, strictly increasing list"),
+        ({"profile": {"kind": "constnat", "value": 2.0}}, "unknown profile"),
+        ({"profile": {"kind": "linear", "a": 1.0, "value": 2.0}}, "unknown profile"),
+    ],
+    ids=["repeated-size", "decreasing-sizes", "unknown-kind", "key-of-another-kind"],
+)
+def test_oned_rejects_sizes_out_of_order_and_unknown_profiles(tmp_path, config, message):
+    # [16, 16] used to die with a ZeroDivisionError, [32, 16] reported a rate
+    # from a halving, and an unknown kind ran linear_growth(1, 0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_cli(tmp_path, "--config", str(path), "oned")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert result.stdout == ""
+    assert not list(tmp_path.glob("oned_*"))
 
 
 @pytest.mark.parametrize("gtol_rel", [-1, 0])
