@@ -46,16 +46,15 @@ def _apply_overrides(config, args):
 
 
 def _lattice_from_config(config):
-    spec = config.get("lattice", {})
-    dims = int(spec.get("dimension", 2))
-    directions = [tuple(v) for v in spec.get("directions", [[1, 0], [0, 1], [1, 1], [1, -1]])]
+    spec = experiments._read(config, "lattice", {}, dict)
+    dims = experiments._read(spec, "dimension", 2, int)
+    directions = experiments._read(spec, "directions", [[1, 0], [0, 1], [1, 1], [1, -1]], list, tuple)
     co = lattice.Connectivity(dims, tuple(directions))
     rest = spec.get("rest", [1.0, 1.0, 2.0**0.5, 2.0**0.5][: len(directions)])
     if np.isscalar(rest):
         rest = [float(rest)] * len(directions)
-    growth = spec.get("growth", [1.0] * len(directions))
-    law = lattice.SpringLaw(q=int(config.get("q", 2)), p=float(config.get("p", 0.0)))
-    return lattice.HomogeneousLattice(co, tuple(float(x) for x in rest), tuple(float(g) for g in growth), law)
+    growth = experiments._read(spec, "growth", [1.0] * len(directions), list, float)
+    return lattice.HomogeneousLattice(co, tuple(float(x) for x in rest), tuple(growth), experiments._law(config))
 
 
 def main(argv=None) -> int:
@@ -148,7 +147,7 @@ def main(argv=None) -> int:
                 print(f"G_{k + 1} = {g}")
         elif args.command == "check":
             report = experiments.run_checks(out, perturb_g2=args.perturb_g2,
-                                            seed=config.get("seed", 0) or 0)
+                                            seed=experiments._read(config, "seed", 0, int))
             for name, check in report["checks"].items():
                 status = "PASS" if check["ok"] else "FAIL"
                 extra = f" (worst residual {check['worst_residual']:.3e})" if "worst_residual" in check else ""

@@ -1,6 +1,13 @@
 """Named experiment runs: ground-state error maps, homogenisation
 simulations, 1-D convergence, and the analytic identity check suite.
 
+A simulation runs in three stages.  It builds its samples and deformation
+families, relaxes every sample under every family, and only then runs its
+fits and writes its outputs, so a run that stops on a failed solve writes
+nothing.  sim2-sweep is the same run with one dilational family over one
+grown sample per pair of growth-interval half-widths; only its outputs
+differ.
+
 Every run writes plot-ready CSV files plus a summary JSON that embeds the
 resolved configuration, so outputs are reproducible bit-for-bit from
 (config, seed).
@@ -28,12 +35,17 @@ EXAMPLE_GROWTH = {
 SIMULATIONS = ("sim1", "sim2", "sim2-sweep", "sim3", "sim4")
 # the top-level config keys each simulation and command reads; CLI flags set
 # seed, n, q and families, and seed counts as read everywhere, as --seed is global
-_COMMON = {"seed", "n", "q", "p", "families", "solver", "count"}
-_CONFIG_KEYS = {"sim1": _COMMON | {"family_overrides", "high"}, "sim2-sweep": _COMMON | {"deltas_hv", "deltas_d"},
-                **dict.fromkeys(("sim2", "sim3", "sim4"), _COMMON | {"family_overrides", "growth_interval"}),
+_COMMON = {"seed", "n", "q", "solver", "count"}
+_FAMILY_KEYS = _COMMON | {"families", "family_overrides"}  # sim2-sweep's one family is fixed
+_CONFIG_KEYS = {"sim1": _FAMILY_KEYS | {"high"}, "sim2-sweep": _COMMON | {"deltas_hv", "deltas_d"},
+                **dict.fromkeys(("sim2", "sim3", "sim4"), _FAMILY_KEYS | {"growth_interval"}),
                 "error-map": {"seed", "q", "p", "grid_counts"}, "check": {"seed"},
                 "oned": {"seed", "q", "p", "profile", "rest", "f_values", "ns", "solver"},
                 **dict.fromkeys(("order", "ground-state", "decompose"), {"seed", "q", "p", "lattice"})}
+# rest lengths of the square lattice's directions (1, 0), (0, 1), (1, 1), (1, -1)
+# in each simulation; sim4 draws each edge's rest length from an interval
+_REST = {**dict.fromkeys(("sim1", "sim2", "sim2-sweep"), (1.0, 1.0, SQRT2, SQRT2)), "sim3": (1.0, 1.0, 1.25, 1.25),
+         "sim4": ((0.8, 1.2), (0.8, 1.2), (0.8 * SQRT2, 1.2 * SQRT2), (0.8 * SQRT2, 1.2 * SQRT2))}
 
 
 def check_config_keys(config: dict, name: str):
@@ -43,16 +55,28 @@ def check_config_keys(config: dict, name: str):
         raise ValueError(f"unknown config keys {unknown} for {name}; it reads {sorted(_CONFIG_KEYS[name])}")
 
 
+def _read(config, key, default, kind, item=None):
+    """config[key], or `default` if the key is absent, converted by `kind`
+    (int, float, dict or list), and each element of a list by `item`.  A
+    value that does not convert raises ValueError naming the key."""
+    value = config.get(key, default)
+    try:
+        return kind(value) if item is None else [item(x) for x in kind(value)]
+    except (TypeError, ValueError):
+        of = f" of {item.__name__}" if item else ""
+        raise ValueError(f"config key {key!r} must be {kind.__name__}{of}, got {value!r}") from None
+
+
 def _law(config):
-    return lattice.SpringLaw(q=int(config.get("q", 2)), p=float(config.get("p", 0.0)))
+    return lattice.SpringLaw(q=_read(config, "q", 2, int), p=_read(config, "p", 0.0, float))
 
 
 def _solver_opts(config):
-    s = config.get("solver", {})
+    s = _read(config, "solver", {}, dict)
     unknown = sorted(set(s) - {"gtol_rel"})
     if unknown:
         raise ValueError(f"unknown solver settings {unknown}; the only one is 'gtol_rel'")
-    return solver.SolverOptions(gtol_rel=float(s.get("gtol_rel", solver.SolverOptions.gtol_rel)))
+    return solver.SolverOptions(gtol_rel=_read(s, "gtol_rel", solver.SolverOptions.gtol_rel, float))
 
 
 def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dict:
@@ -98,148 +122,100 @@ def _fit_summary(fit):
         "n_used": fit.n_used,
         "jacobian_rank": fit.rank,
         "excluded_samples": list(fit.excluded),
-        "growth_tensors": fit.groups if fit.groups and "G_1" in fit.groups else None,
+        "growth_tensors": fit.growth_tensors,
     }
-
-
-def _sim_scenario(name, config):
-    """Connectivity, rest spec, growth scenario, and ansatz of a simulation."""
-    co = lattice.square_connectivity()
-    seed = int(config.get("seed", 0))
-    rest_hom = (1.0, 1.0, SQRT2, SQRT2)
-    if name == "sim1":
-        return co, rest_hom, lattice.checkerboard_growth(float(config.get("high", 1.2)), seed=seed), \
-            homogenize.GrowthAnsatz("isotropic", "rotated-diagonal")
-    if name in ("sim2", "sim2-sweep"):
-        iv = tuple(config.get("growth_interval", (0.8, 1.2)))
-        return co, rest_hom, lattice.uniform_growth((iv,) * 4, seed=seed), \
-            homogenize.GrowthAnsatz("isotropic", "isotropic")
-    if name == "sim3":
-        rest = (1.0, 1.0, 1.25, 1.25)
-        iv = tuple(config.get("growth_interval", (0.8, 1.2)))
-        return co, rest, lattice.uniform_growth((iv,) * 4, seed=seed), \
-            homogenize.GrowthAnsatz("isotropic", "isotropic")
-    if name == "sim4":
-        rest = ((0.8, 1.2), (0.8, 1.2), (0.8 * SQRT2, 1.2 * SQRT2), (0.8 * SQRT2, 1.2 * SQRT2))
-        iv = tuple(config.get("growth_interval", (0.8, 1.2)))
-        return co, rest, lattice.uniform_growth((iv,) * 4, seed=seed), \
-            homogenize.GrowthAnsatz("isotropic", "isotropic")
-    raise ValueError(f"unknown simulation {name!r}")
 
 
 def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     """Run one named homogenisation simulation and write its outputs.
 
+    Every solve comes first.  The run builds its samples and deformation
+    families, measures every sample under every family, family by family,
+    then runs every fit and writes its outputs last, so a failed solve or
+    fit writes nothing.  sim4 lists its ungrown sample, to which it fits
+    rest lengths, before the grown one.  sim2-sweep is the same run with one
+    dilational family over one grown sample per (delta_hv, delta_d) pair;
+    only its writer differs.
+
     The config's "families" picks the deformation families, and its
     "family_overrides" may set "count", "lam_max" and "lam_shear" for all
-    of them.  Any other override key, and any top-level key the simulation
-    does not read, raises ValueError."""
+    of them.  Any other override key, any top-level key the simulation does
+    not read, and a value of the wrong type raise ValueError."""
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
     config = dict(config or {})
     check_config_keys(config, name)
-    overrides = config.get("family_overrides", {})
+    overrides = _read(config, "family_overrides", {}, dict)
     if unknown := sorted(set(overrides) - {"count", "lam_max", "lam_shear"}):
         raise ValueError(f"unknown family_overrides keys {unknown}; "
                          "the allowed keys are 'count', 'lam_max' and 'lam_shear'")
     out = Path(out_dir)
-    law = _law(config)
-    opts = _solver_opts(config)
-    if name == "sim2-sweep":
-        return _run_sim2_sweep(out, config, law, opts)
+    sweep = name == "sim2-sweep"
+    law, opts = _law(config), _solver_opts(config)
+    n, seed = _read(config, "n", 16, int), _read(config, "seed", 0, int)
+    co, rest = lattice.square_connectivity(), _REST[name]
+    resolved = {"simulation": name, "n": n, "q": law.q, "p": law.p, "seed": seed}
 
-    co, rest, scenario, ansatz = _sim_scenario(name, config)
-    n = int(config.get("n", 16))
-    default_lam = 1.25 if name == "sim1" else 1.5
-    default_shear = 0.25 if name == "sim1" else 0.5
-    families = config.get("families", ["dilational", "shear"])
+    # build: the samples, then every family
+    if sweep:  # pairs is a list, so that a repeated pair writes a repeated row
+        resolved.update({key: _read(config, key, [0.0, 0.2, 0.4], list, float) for key in ("deltas_hv", "deltas_d")})
+        pairs = [(dhv, dd) for dhv in resolved["deltas_hv"] for dd in resolved["deltas_d"]]
+        scenarios = [lattice.uniform_growth([(1.0 - dhv, 1.0 + dhv)] * 2 + [(1.0 - dd, 1.0 + dd)] * 2, seed=seed)
+                     for dhv, dd in pairs]
+    elif name == "sim1":
+        scenarios = [lattice.checkerboard_growth(_read(config, "high", 1.2, float), seed=seed)]
+    else:
+        scenarios = [lattice.uniform_growth([_read(config, "growth_interval", [0.8, 1.2], list, float)] * 4, seed=seed)]
+    ungrown = [lattice.no_growth(co, seed=seed)] if name == "sim4" else []
+    samples = [lattice.build_sample(co, n, rest, scenario, law) for scenario in ungrown + scenarios]
+    kinds = ["dilational"] if sweep else _read(config, "families", ["dilational", "shear"], list, str)
+    lam_max = _read(overrides, "lam_max", 1.25 if name == "sim1" else 1.5, float)
+    lam_shear = _read(overrides, "lam_shear", 0.25 if name == "sim1" else 0.5, float)
+    count = _read(overrides, "count", _read(config, "count", 21 if sweep else 60, int), int)
+    sampled = [homogenize.sample_family(homogenize.DeformationFamily(kind, lam_max, lam_shear, count))
+               for kind in kinds]
 
-    resolved = {
-        "simulation": name,
-        "n": n,
-        "q": law.q,
-        "p": law.p,
-        "seed": int(config.get("seed", 0)),
-        "rest": rest,
-        "scenario_kind": scenario.kind,
-        "families": families,
-    }
-    summary = {"config": resolved, "fits": {}}
+    # measure: every solve of the run, before any fit
+    targets = [[homogenize.measured_energies(sample, fs, opts) for sample in samples] for _, fs in sampled]
 
-    sample = lattice.build_sample(co, n, rest, scenario, law)
-    if name == "sim4":  # the ungrown sample, whose rest lengths sim4 fits
-        initial_sample = lattice.build_sample(co, n, rest, lattice.no_growth(co, seed=scenario.seed), law)
-
-    for fam_kind in families:
-        family = homogenize.DeformationFamily(
-            kind=fam_kind,
-            lam_max=float(overrides.get("lam_max", default_lam)),
-            lam_shear=float(overrides.get("lam_shear", default_shear)),
-            count=int(overrides.get("count", config.get("count", 60))),
-        )
-        lams, fs = homogenize.sample_family(family)
-        tag = f"{name}_{fam_kind}"
-        params = np.reshape(lams, (len(lams), -1))  # one column per parameter of the family
-        columns = ["lam1", "lam2", "lam3"] if family.kind == "box-grid" else ["lambda"]
-
-        if name == "sim4":
-            init_targets = homogenize.measured_energies(initial_sample, fs, opts)
-            rest_fit = homogenize.fit_rest_lengths(fs, init_targets, law, co)
-            representative = homogenize.fitted_representative(rest_fit, co, law)
-            summary["fits"][f"{fam_kind}_rest"] = _fit_summary(rest_fit)
-            write_csv(out / f"{tag}_rest_curves.csv", columns + ["true_energy", "fractional_error"],
-                      [*params.T, init_targets, rest_fit.errors])
+    # fit: rest lengths to sim4's ungrown sample, growth tensors to every grown sample
+    ansatz = homogenize.GrowthAnsatz("isotropic", "rotated-diagonal" if name == "sim1" else "isotropic")
+    rest_fits, growth_fits = [], []
+    for (_, fs), family_targets in zip(sampled, targets):
+        if ungrown:
+            rest_fits.append(homogenize.fit_rest_lengths(fs, family_targets[0], law, co))
+            representative = homogenize.fitted_representative(rest_fits[-1], co, law)
         else:
             representative = lattice.HomogeneousLattice(co, rest, (), law)
         dec = continuum.decompose(representative, continuum.square_partition_choices()[0])
+        growth_fits.append([homogenize.fit_growth(dec, fs, t, ansatz) for t in family_targets[len(ungrown):]])
 
-        targets = homogenize.measured_energies(sample, fs, opts)
-        fit = homogenize.fit_growth(dec, fs, targets, ansatz)
-        summary["fits"][fam_kind] = _fit_summary(fit)
-        model = np.where(np.isfinite(fit.errors), targets * (1.0 - fit.errors), np.nan)
-        write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"],
-                  [*params.T, targets, model, fit.errors])
-
+    # write
+    if sweep:
+        [fits] = growth_fits
+        write_csv(out / "sim2_sweep.csv",
+                  ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"],
+                  [[dhv for dhv, _ in pairs], [dd for _, dd in pairs],
+                   *([fit.parameters[k] for fit in fits] for k in ("gamma_1", "gamma_2")),
+                   [fit.relative_mse for fit in fits], [fit.max_abs_error for fit in fits]])
+        surface = [{"delta_hv": dhv, "delta_d": dd, **_fit_summary(fit)} for (dhv, dd), fit in zip(pairs, fits)]
+        summary = {"config": {**resolved, "count": count}, "surface": surface}
+    else:
+        summary = {"config": {**resolved, "rest": rest, "scenario_kind": scenarios[0].kind, "families": kinds},
+                   "fits": {}}
+        for k, (kind, (params, _), family_targets, [fit]) in enumerate(zip(kinds, sampled, targets, growth_fits)):
+            tag = f"{name}_{kind}"
+            params = np.reshape(params, (len(params), -1))  # one column per parameter of the family
+            columns = ["lam1", "lam2", "lam3"] if kind == "box-grid" else ["lambda"]
+            if ungrown:
+                summary["fits"][f"{kind}_rest"] = _fit_summary(rest_fits[k])
+                write_csv(out / f"{tag}_rest_curves.csv", columns + ["true_energy", "fractional_error"],
+                          [*params.T, family_targets[0], rest_fits[k].errors])
+            summary["fits"][kind] = _fit_summary(fit)
+            model = np.where(np.isfinite(fit.errors), family_targets[-1] * (1.0 - fit.errors), np.nan)
+            write_csv(out / f"{tag}_curves.csv", columns + ["true_energy", "homogenized_energy", "fractional_error"],
+                      [*params.T, family_targets[-1], model, fit.errors])
     write_json(out / f"{name}_summary.json", summary)
-    return summary
-
-
-def _run_sim2_sweep(out, config, law, opts):
-    """Sweep of homogenised growth factors over growth-interval half-widths."""
-    co = lattice.square_connectivity()
-    rest = (1.0, 1.0, SQRT2, SQRT2)
-    seed = int(config.get("seed", 0))
-    n = int(config.get("n", 16))
-    deltas_hv = list(config.get("deltas_hv", (0.0, 0.2, 0.4)))
-    deltas_d = list(config.get("deltas_d", (0.0, 0.2, 0.4)))
-    count = int(config.get("count", 21))
-    family = homogenize.DeformationFamily("dilational", lam_max=1.5, count=count)
-    lams, fs = homogenize.sample_family(family)
-    dec = continuum.decompose(
-        lattice.HomogeneousLattice(co, rest, (), law), continuum.square_partition_choices()[0]
-    )
-    ansatz = homogenize.GrowthAnsatz("isotropic", "isotropic")
-    deltas = [(dhv, dd) for dhv in deltas_hv for dd in deltas_d]
-    fits = []
-    for dhv, dd in deltas:
-        iv_hv = (1.0 - dhv, 1.0 + dhv)
-        iv_d = (1.0 - dd, 1.0 + dd)
-        scenario = lattice.uniform_growth((iv_hv, iv_hv, iv_d, iv_d), seed=seed)
-        sample = lattice.build_sample(co, n, rest, scenario, law)
-        targets = homogenize.measured_energies(sample, fs, opts)
-        fits.append(homogenize.fit_growth(dec, fs, targets, ansatz))
-    write_csv(out / "sim2_sweep.csv",
-              ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"],
-              [[dhv for dhv, _ in deltas], [dd for _, dd in deltas],
-               *([fit.parameters[k] for fit in fits] for k in ("gamma_1", "gamma_2")),
-               [fit.relative_mse for fit in fits], [fit.max_abs_error for fit in fits]])
-    surface = [{"delta_hv": dhv, "delta_d": dd, **_fit_summary(fit)} for (dhv, dd), fit in zip(deltas, fits)]
-    summary = {
-        "config": {"simulation": "sim2-sweep", "n": n, "q": law.q, "p": law.p, "seed": seed,
-                   "deltas_hv": deltas_hv, "deltas_d": deltas_d, "count": count},
-        "surface": surface,
-    }
-    write_json(out / "sim2-sweep_summary.json", summary)
     return summary
 
 
@@ -256,12 +232,12 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
         raise ValueError(f"unknown profile {profile_spec!r}; it must be "
                          "{'kind': 'linear', 'a': ..., 'b': ...} or {'kind': 'constant', 'value': ...}")
     if kind == "constant":
-        profile = solver.constant_growth(float(profile_spec.get("value", 1.0)))
+        profile = solver.constant_growth(_read(profile_spec, "value", 1.0, float))
     else:
-        profile = solver.linear_growth(float(profile_spec.get("a", 1.0)), float(profile_spec.get("b", 0.0)))
-    rest = float(config.get("rest", 1.0))
-    f_values = [float(x) for x in config.get("f_values", (2.0,))]
-    ns = [int(x) for x in config.get("ns", (16, 32, 64, 128, 256, 512))]
+        profile = solver.linear_growth(_read(profile_spec, "a", 1.0, float), _read(profile_spec, "b", 0.0, float))
+    rest = _read(config, "rest", 1.0, float)
+    f_values = _read(config, "f_values", [2.0], list, float)
+    ns = _read(config, "ns", [16, 32, 64, 128, 256, 512], list, int)
     if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be a non-empty, strictly increasing list of chain sizes, got {ns}")
     opts = _solver_opts(config)

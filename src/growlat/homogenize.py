@@ -16,7 +16,7 @@ cannot fix three parameters.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,6 +148,8 @@ class FitResult:
     relative_mse is the mean of squared fractional errors over the used
     samples; `errors` holds nan at excluded (zero-target) samples.  `rank`
     is the numerical rank of the residual Jacobian at the optimum.
+    `growth_tensors` maps "G_1" and "G_2" to the fitted tensors of a growth
+    fit, and is None for a rest-length fit.
     """
 
     parameters: dict
@@ -157,7 +159,7 @@ class FitResult:
     n_used: int
     excluded: tuple[int, ...]
     rank: int
-    groups: dict | None = None
+    growth_tensors: dict | None = None
 
     @property
     def mse_sum(self) -> float:
@@ -186,9 +188,9 @@ def _relative_residuals(lengths, t, divisors, param_of_dir, n_params, law):
     return residuals, jacobian
 
 
-def _fit(lengths, targets, divisors, param_of_dir, names, law, groups) -> FitResult:
+def _fit(lengths, targets, divisors, param_of_dir, names, law) -> FitResult:
     """Least-squares fit of the per-direction scale parameters x to the
-    nonzero targets; `groups(x)` gives the result's groups."""
+    nonzero targets."""
     from scipy.optimize import least_squares
 
     targets = np.asarray(targets, dtype=float)
@@ -214,7 +216,6 @@ def _fit(lengths, targets, divisors, param_of_dir, names, law, groups) -> FitRes
         int(used.sum()),
         tuple(int(i) for i in np.nonzero(~used)[0]),
         int(np.linalg.matrix_rank(jacobian(x))),
-        groups(x),
     )
 
 
@@ -236,12 +237,7 @@ def fit_rest_lengths(
     unique = sorted(set(np.round(dir_norms, 12)))
     param_of_dir = np.array([unique.index(round(float(x), 12)) for x in dir_norms])
     names = [f"ell{k}" for k in range(len(unique))]
-    groups = {
-        names[k]: tuple(v for v, g in zip(connectivity.directions, param_of_dir) if g == k)
-        for k in range(len(unique))
-    }
-    fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law,
-               lambda x: groups)
+    fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law)
     fit.parameters.update({
         f"L_{'_'.join(str(c) for c in v)}": float(fit.parameters[names[param_of_dir[k]]] * dir_norms[k])
         for k, v in enumerate(connectivity.directions)
@@ -311,11 +307,10 @@ def fit_growth(
     if dec.lattice.law.p != 0:
         raise ValueError("growth fitting is defined for recombination laws (p = 0)")
     names, param_of_dir = _ansatz_params(dec, ansatz)
-
-    def tensors(x):
-        return {f"G_{k + 1}": g.tolist() for k, (g, _) in enumerate(growth_tensors(dec.parts, x[param_of_dir]))}
-
-    return _fit(
+    fit = _fit(
         mapped_lengths(dec.lattice.connectivity.matrix, fs), targets, np.asarray(dec.lattice.rest), param_of_dir,
-        names, dec.lattice.law, tensors,
+        names, dec.lattice.law,
     )
+    factors = np.array([fit.parameters[name] for name in names])[param_of_dir]
+    tensors = {f"G_{k + 1}": g.tolist() for k, (g, _) in enumerate(growth_tensors(dec.parts, factors))}
+    return replace(fit, growth_tensors=tensors)

@@ -274,6 +274,10 @@ def test_top_level_family_block_exits_2(tmp_path):
         ("sim2-sweep", {"growth_interval": [0.9, 1.1], "family_overrides": {"count": 3}}),
         ("sim3", {"deltas_hv": [0.1]}),
         ("sim4", {"nonsense_key": 1}),
+        # no simulation reads p: every one decomposes, which needs p = 0
+        ("sim1", {"p": 1}),
+        # sim2-sweep's one dilational family is fixed; it used to run it whatever families said
+        ("sim2-sweep", {"families": ["shear"]}),
     ],
 )
 def test_simulations_reject_top_level_keys_they_do_not_read(tmp_path, simulation, unread):
@@ -286,6 +290,101 @@ def test_simulations_reject_top_level_keys_they_do_not_read(tmp_path, simulation
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: unknown config keys {sorted(unread)} for {simulation};")
     assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["simulate", "sim2"], {"growth_interval": 0.8}),
+        (["simulate", "sim2-sweep"], {"deltas_hv": 0.2}),
+        (["simulate", "sim1"], {"solver": 5}),
+        (["simulate", "sim1"], {"family_overrides": 5}),
+        (["simulate", "sim1"], {"count": [2]}),
+        (["oned"], {"f_values": 2.0}),
+        (["oned"], {"ns": 16}),
+        (["order"], {"lattice": 5}),
+        (["check"], {"seed": "x"}),
+    ],
+    ids=["growth_interval", "deltas_hv", "solver", "family_overrides", "count", "f_values", "ns", "lattice", "seed"],
+)
+def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, command, config):
+    # each of these used to stop with a traceback and exit 1, the code of a failed check
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_cli(tmp_path, "--config", str(path), *command)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    [key] = config
+    assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r} must be ")
+    assert result.stdout == ""
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize(
+    "simulation, config, message",
+    [
+        ("sim4", {"n": 8, "family_overrides": {"lam_max": 1.2, "count": 7}},
+         "sample 0, F = [[0.8333333333333334, 0.0], [0.0, 0.8333333333333334]]"),
+        ("sim1", {"n": 4, "family_overrides": {"count": 3, "lam_shear": -0.1}}, "lam_shear must be positive"),
+    ],
+    ids=["failed-grown-solve", "invalid-shear-family"],
+)
+def test_a_simulation_that_exits_2_writes_nothing(tmp_path, simulation, config, message):
+    # sim4 used to write its dilational rest curves before its grown solve failed,
+    # and sim1 its dilational curves before the shear family was rejected
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_cli(tmp_path, "--config", str(path), "simulate", simulation)
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize("simulation", ["sim2", "sim3", "sim4"])
+def test_branch_simulations_finish_on_a_stable_range(tmp_path, simulation):
+    # lam_max = 1.2 keeps every datum on the stable branch at N = 4
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 4, "family_overrides": {"count": 3, "lam_max": 1.2}}))
+    result = run_cli(tmp_path, "--config", str(path), "simulate", simulation)
+    assert result.returncode == 0, result.stderr
+    families = ("dilational", "shear")
+    rest = simulation == "sim4"
+    curves = {f"{simulation}_{family}_curves.csv" for family in families}
+    rest_curves = {f"{simulation}_{family}_rest_curves.csv" for family in families} if rest else set()
+    assert {path.name for path in tmp_path.iterdir()} == {"config.json", f"{simulation}_summary.json",
+                                                          *curves, *rest_curves}
+    for name in curves | rest_curves:
+        header, *rows = read_csv(tmp_path / name)
+        assert header == ["lambda", "true_energy", *(() if name in rest_curves else ("homogenized_energy",)),
+                          "fractional_error"]
+        assert len(rows) == 3
+    fits = json.loads((tmp_path / f"{simulation}_summary.json").read_text())["fits"]
+    assert set(fits) == {*families, *(f"{family}_rest" for family in families if rest)}
+    assert all(fit["n_used"] == 3 for fit in fits.values())
+    assert all((fit["growth_tensors"] is None) == label.endswith("_rest") for label, fit in fits.items())
+    assert len(result.stdout.splitlines()) == len(fits)
+
+
+@pytest.mark.parametrize("deltas_hv", [[0.0], [0.0, 0.0]], ids=["one-pair", "repeated-pair"])
+def test_sim2_sweep_without_growth_fits_unit_factors(tmp_path, deltas_hv):
+    # a repeated pair of half-widths writes a repeated row
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 4, "count": 3, "deltas_hv": deltas_hv, "deltas_d": [0.0]}))
+    result = run_cli(tmp_path, "--config", str(path), "simulate", "sim2-sweep")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"sweep over {len(deltas_hv)} interval combinations written\n"
+    assert {path.name for path in tmp_path.iterdir()} == {"config.json", "sim2-sweep_summary.json", "sim2_sweep.csv"}
+    header, *rows = read_csv(tmp_path / "sim2_sweep.csv")
+    assert header == ["delta_hv", "delta_d", "gamma_1", "gamma_2", "mse_mean", "max_fractional_error"]
+    assert len(rows) == len(deltas_hv)
+    summary = json.loads((tmp_path / "sim2-sweep_summary.json").read_text())
+    assert len(summary["surface"]) == len(deltas_hv)
+    for row, entry in zip(rows, summary["surface"]):
+        assert float(row[2]) == entry["parameters"]["gamma_1"] == pytest.approx(1.0, abs=1e-6)
+        assert float(row[3]) == entry["parameters"]["gamma_2"] == pytest.approx(1.0, abs=1e-6)
+        assert entry["n_used"] == 3
 
 
 def test_keys_that_flags_set_count_as_read(tmp_path):

@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from growlat import continuum, experiments, lattice
+from growlat import continuum, experiments, homogenize, lattice
 
 
 def worst_residuals_by_draw(seed, n_random, perturb_g2):
@@ -65,3 +66,49 @@ def test_run_checks_decomposes_once_per_partition(monkeypatch):
     monkeypatch.setattr(continuum, "decompose", counted)
     assert experiments.run_checks(n_random=20)["ok"]
     assert 0 < len(calls) <= 3
+
+
+def record_calls(monkeypatch, events, module, name, event):
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        events.append(event(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+SIM4_EVENTS = [
+    ("measure", "ungrown", "dilational"), ("measure", "grown", "dilational"),
+    ("measure", "ungrown", "shear"), ("measure", "grown", "shear"),
+    ("fit_rest_lengths",), ("fit_growth",), ("fit_rest_lengths",), ("fit_growth",),
+    ("write", "sim4_dilational_rest_curves.csv"), ("write", "sim4_dilational_curves.csv"),
+    ("write", "sim4_shear_rest_curves.csv"), ("write", "sim4_shear_curves.csv"), ("write", "sim4_summary.json"),
+]
+SWEEP_EVENTS = [
+    ("measure", "ungrown", "dilational"), ("measure", "ungrown", "dilational"), ("fit_growth",), ("fit_growth",),
+    ("write", "sim2_sweep.csv"), ("write", "sim2-sweep_summary.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, config, expected",
+    [
+        ("sim4", {"n": 4, "family_overrides": {"count": 3, "lam_max": 1.2}}, SIM4_EVENTS),
+        ("sim2-sweep", {"n": 4, "count": 3, "deltas_hv": [0.0, 0.0], "deltas_d": [0.0]}, SWEEP_EVENTS),
+    ],
+    ids=["sim4", "sim2-sweep"],
+)
+def test_a_simulation_solves_everything_before_it_fits_and_fits_before_it_writes(
+        tmp_path, monkeypatch, name, config, expected):
+    # solves run family by family, and within a family sim4's ungrown sample comes first
+    events = []
+    record_calls(monkeypatch, events, homogenize, "measured_energies", lambda sample, fs, opts: (
+        "measure", "ungrown" if np.all(sample.growth == 1.0) else "grown",
+        "shear" if np.any(fs[:, 0, 1]) else "dilational"))
+    for fit in ("fit_rest_lengths", "fit_growth"):
+        record_calls(monkeypatch, events, homogenize, fit, lambda *args, fit=fit: (fit,))
+    for write in ("write_csv", "write_json"):
+        record_calls(monkeypatch, events, experiments, write, lambda path, *args: ("write", Path(path).name))
+    experiments.run_simulation(name, tmp_path, config)
+    assert events == expected

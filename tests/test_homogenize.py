@@ -64,8 +64,8 @@ def test_fit_growth_recovers_full_rank_parameters():
     # the reported tensors are the ansatz's closed forms gamma_1 I and R diag(gamma+, gamma-) R^T
     g1, gp, gm = got
     r = continuum.rotation(math.pi / 4)
-    assert np.allclose(result.groups["G_1"], g1 * np.eye(2), rtol=0.0, atol=1e-15)
-    assert np.allclose(result.groups["G_2"], r @ np.diag([gp, gm]) @ r.T, rtol=0.0, atol=1e-15)
+    assert np.allclose(result.growth_tensors["G_1"], g1 * np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.allclose(result.growth_tensors["G_2"], r @ np.diag([gp, gm]) @ r.T, rtol=0.0, atol=1e-15)
     assert result.relative_mse <= 1e-20
     assert result.rank == 3
     assert result.n_used == len(fs) and result.excluded == ()
@@ -80,8 +80,8 @@ def test_diagonal_ansatz_recovers_planted_axis_factors():
                         GrowthAnsatz("diagonal", "isotropic"))
     got = [result.parameters[k] for k in ("gamma_1a", "gamma_1b", "gamma_2")]
     assert np.allclose(got, (1.1, 0.9, 1.05), rtol=0.0, atol=1e-8)
-    assert np.allclose(result.groups["G_1"], np.diag(got[:2]), rtol=0.0, atol=1e-15)
-    assert np.allclose(result.groups["G_2"], got[2] * np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.allclose(result.growth_tensors["G_1"], np.diag(got[:2]), rtol=0.0, atol=1e-15)
+    assert np.allclose(result.growth_tensors["G_2"], got[2] * np.eye(2), rtol=0.0, atol=1e-15)
     assert result.rank == 3
     assert result.relative_mse <= 1e-20
 
@@ -137,4 +137,3 @@ def test_fit_rest_lengths_recovers_rest_lengths():
         assert result.parameters[f"L_{'_'.join(str(c) for c in v)}"] == pytest.approx(length, abs=1e-8)
     assert result.rank == len(want)
     assert result.relative_mse <= 1e-20
-    assert sorted(result.groups) == sorted(want)
