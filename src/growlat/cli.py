@@ -45,18 +45,6 @@ def _apply_overrides(config, args):
     return config
 
 
-def _lattice_from_config(config):
-    spec = experiments._read(config, "lattice", {}, dict)
-    dims = experiments._read(spec, "dimension", 2, int)
-    directions = experiments._read(spec, "directions", [[1, 0], [0, 1], [1, 1], [1, -1]], list, tuple)
-    co = lattice.Connectivity(dims, tuple(directions))
-    rest = spec.get("rest", [1.0, 1.0, 2.0**0.5, 2.0**0.5][: len(directions)])
-    if np.isscalar(rest):
-        rest = [float(rest)] * len(directions)
-    growth = experiments._read(spec, "growth", [1.0] * len(directions), list, float)
-    return lattice.HomogeneousLattice(co, tuple(float(x) for x in rest), tuple(growth), experiments._law(config))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="growlat", description=__doc__)
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -94,8 +82,11 @@ def main(argv=None) -> int:
     out = args.out
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        if args.command in ("check", "order", "ground-state", "decompose"):
-            experiments.check_config_keys(config, args.command)
+        if args.command == "check":
+            reader = experiments.ConfigReader(config, "check")
+            reader.close()
+        elif args.command in ("order", "ground-state", "decompose"):
+            lat = experiments.configured_lattice(config, args.command)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "error-map":
             summary = experiments.run_example_error_map(args.example, out, config)
@@ -116,13 +107,11 @@ def main(argv=None) -> int:
                 print(f"F={res['f']}: continuum={res['continuum']:.8g}  "
                       f"final error={res['errors'][-1]:.3g}  observed rate~{res['rate']:.2f}")
         elif args.command == "order":
-            lat = _lattice_from_config(config)
             result = lattice.lattice_order(lat.connectivity)
             payload = {"order": result.order, "classes": [list(map(list, cls)) for cls in result.classes]}
             write_json(out / "order.json", payload)
             print(f"order = {result.order}; witness partition: {result.classes}")
         elif args.command == "ground-state":
-            lat = _lattice_from_config(config)
             gs = continuum.ground_state(lat)
             payload = {
                 "config": {"rest": lat.rest, "growth": lat.growth, "q": lat.law.q, "p": lat.law.p},
@@ -133,7 +122,6 @@ def main(argv=None) -> int:
             write_json(out / "ground_state.json", payload)
             print(f"G = {np.array2string(gs.f, precision=6)}  energy = {gs.energy:.8g}")
         elif args.command == "decompose":
-            lat = _lattice_from_config(config)
             if args.choice is not None:
                 partition = continuum.square_partition_choices()[args.choice]
             else:
@@ -146,8 +134,7 @@ def main(argv=None) -> int:
             for k, g in enumerate(payload["growth_tensors"]):
                 print(f"G_{k + 1} = {g}")
         elif args.command == "check":
-            report = experiments.run_checks(out, perturb_g2=args.perturb_g2,
-                                            seed=experiments._read(config, "seed", 0, int))
+            report = experiments.run_checks(out, perturb_g2=args.perturb_g2, seed=reader.seed)
             for name, check in report["checks"].items():
                 status = "PASS" if check["ok"] else "FAIL"
                 extra = f" (worst residual {check['worst_residual']:.3e})" if "worst_residual" in check else ""

@@ -1,16 +1,12 @@
 """Named experiment runs: ground-state error maps, homogenisation
 simulations, 1-D convergence, and the analytic identity check suite.
 
-A simulation runs in three stages.  It builds its samples and deformation
-families, relaxes every sample under every family, and only then runs its
-fits and writes its outputs, so a run that stops on a failed solve writes
-nothing.  sim2-sweep is the same run with one dilational family over one
-grown sample per pair of growth-interval half-widths; only its outputs
-differ.
-
-Every run writes plot-ready CSV files plus a summary JSON that embeds the
-resolved configuration, so outputs are reproducible bit-for-bit from
-(config, seed).
+Every run reads its whole JSON config through one `ConfigReader` before it
+builds, solves or writes anything, and accepts exactly the keys it reads, at
+their JSON types.  A simulation's family size "count" is a top-level key;
+its "family_overrides" block holds "lam_max" and "lam_shear".  Every run
+writes plot-ready CSV files plus a summary JSON that embeds the resolved
+configuration, so outputs are reproducible bit-for-bit from (config, seed).
 """
 
 import math
@@ -33,60 +29,82 @@ EXAMPLE_GROWTH = {
 }
 
 SIMULATIONS = ("sim1", "sim2", "sim2-sweep", "sim3", "sim4")
-# the top-level config keys each simulation and command reads; CLI flags set
-# seed, n, q and families, and seed counts as read everywhere, as --seed is global
-_COMMON = {"seed", "n", "q", "solver", "count"}
-_FAMILY_KEYS = _COMMON | {"families", "family_overrides"}  # sim2-sweep's one family is fixed
-_CONFIG_KEYS = {"sim1": _FAMILY_KEYS | {"high"}, "sim2-sweep": _COMMON | {"deltas_hv", "deltas_d"},
-                **dict.fromkeys(("sim2", "sim3", "sim4"), _FAMILY_KEYS | {"growth_interval"}),
-                "error-map": {"seed", "q", "p", "grid_counts"}, "check": {"seed"},
-                "oned": {"seed", "q", "p", "profile", "rest", "f_values", "ns", "solver"},
-                **dict.fromkeys(("order", "ground-state", "decompose"), {"seed", "q", "p", "lattice"})}
 # rest lengths of the square lattice's directions (1, 0), (0, 1), (1, 1), (1, -1)
 # in each simulation; sim4 draws each edge's rest length from an interval
 _REST = {**dict.fromkeys(("sim1", "sim2", "sim2-sweep"), (1.0, 1.0, SQRT2, SQRT2)), "sim3": (1.0, 1.0, 1.25, 1.25),
          "sim4": ((0.8, 1.2), (0.8, 1.2), (0.8 * SQRT2, 1.2 * SQRT2), (0.8 * SQRT2, 1.2 * SQRT2))}
 
-
-def check_config_keys(config: dict, name: str):
-    """Raise ValueError naming the top-level config keys that the simulation
-    or command `name` does not read."""
-    if unknown := sorted(set(config) - _CONFIG_KEYS[name]):
-        raise ValueError(f"unknown config keys {unknown} for {name}; it reads {sorted(_CONFIG_KEYS[name])}")
+_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict}
 
 
-def _read(config, key, default, kind, item=None):
-    """config[key], or `default` if the key is absent, converted by `kind`
-    (int, float, dict or list), and each element of a list by `item`.  A
-    value that does not convert raises ValueError naming the key."""
-    value = config.get(key, default)
-    try:
-        return kind(value) if item is None else [item(x) for x in kind(value)]
-    except (TypeError, ValueError):
-        of = f" of {item.__name__}" if item else ""
-        raise ValueError(f"config key {key!r} must be {kind.__name__}{of}, got {value!r}") from None
+def _conform(value, kind: str):
+    """`value` read as `kind`, or TypeError.  A kind is "int", "float" (an int
+    or a float, read as float), "str", "dict", "list of " a kind, or kinds
+    joined by " or "; a bool is no number."""
+    for alternative in kind.split(" or "):
+        if alternative.startswith("list of ") and isinstance(value, list):
+            return [_conform(x, alternative.removeprefix("list of ")) for x in value]
+        if isinstance(value, _TYPES.get(alternative, ())) and not isinstance(value, bool):
+            return float(value) if alternative == "float" else value
+    raise TypeError
 
 
-def _law(config):
-    return lattice.SpringLaw(q=_read(config, "q", 2, int), p=_read(config, "p", 0.0, float))
+class ConfigReader:
+    """A command's JSON config object.  `read(key, default, kind)` records the
+    key and returns its value, checked against `kind`, or `default`; `block`
+    reads an object as a reader of its own.  `close` rejects every key, here
+    and in the blocks, that no read asked for.  "seed" is read at once, as
+    --seed is global."""
+
+    def __init__(self, values: dict, name: str, block: bool = False):
+        self.values, self.name, self.is_block, self.keys, self.blocks = values, name, block, set(), []
+        self.seed = None if block else self.read("seed", 0, "int")
+
+    def read(self, key: str, default, kind: str):
+        self.keys.add(key)
+        try:
+            return _conform(self.values[key], kind) if key in self.values else default
+        except TypeError:
+            where = f" in {self.name}" if self.is_block else ""
+            raise ValueError(f"config key {key!r}{where} must be {kind}, got {self.values[key]!r}") from None
+
+    def block(self, key: str, default: dict) -> "ConfigReader":
+        self.blocks.append(ConfigReader(self.read(key, default, "dict"), key, block=True))
+        return self.blocks[-1]
+
+    def close(self):
+        if unknown := sorted(set(self.values) - self.keys):
+            what = f"{self.name} keys {unknown}" if self.is_block else f"config keys {unknown} for {self.name}"
+            raise ValueError(f"unknown {what}; it reads {sorted(self.keys)}")
+        for block in self.blocks:
+            block.close()
 
 
-def _solver_opts(config):
-    s = _read(config, "solver", {}, dict)
-    unknown = sorted(set(s) - {"gtol_rel"})
-    if unknown:
-        raise ValueError(f"unknown solver settings {unknown}; the only one is 'gtol_rel'")
-    return solver.SolverOptions(gtol_rel=_read(s, "gtol_rel", solver.SolverOptions.gtol_rel, float))
+def _law(config: ConfigReader):
+    return lattice.SpringLaw(q=config.read("q", 2, "int"), p=config.read("p", 0.0, "float"))
+
+
+def configured_lattice(config: dict, command: str) -> lattice.HomogeneousLattice:
+    """The lattice of an order, ground-state or decompose config."""
+    config = ConfigReader(config, command)
+    law, spec = _law(config), config.block("lattice", {})
+    dims = spec.read("dimension", 2, "int")
+    directions = spec.read("directions", [[1, 0], [0, 1], [1, 1], [1, -1]], "list of list of int")
+    rest = spec.read("rest", [1.0, 1.0, SQRT2, SQRT2][: len(directions)], "float or list of float")
+    growth = spec.read("growth", [1.0] * len(directions), "list of float")
+    config.close()
+    rest = [rest] * len(directions) if isinstance(rest, float) else rest
+    return lattice.HomogeneousLattice(lattice.Connectivity(dims, directions), tuple(rest), tuple(growth), law)
 
 
 def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dict:
     """Ground state and fractional-error map of one named growth case."""
     if name not in EXAMPLE_GROWTH:
         raise ValueError(f"unknown example {name!r}; choose from {sorted(EXAMPLE_GROWTH)}")
-    config = dict(config or {})
-    check_config_keys(config, "error-map")
+    config = ConfigReader(config or {}, "error-map")
     law = _law(config)
-    counts = config.get("grid_counts", (46, 46, 41))
+    counts = config.read("grid_counts", (46, 46, 41), "list of int")
+    config.close()
     thresholds = (0.10, 0.20) if name == "ex7" else (0.10,)
 
     initial = lattice.square_lattice(law=law)
@@ -129,54 +147,56 @@ def _fit_summary(fit):
 def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     """Run one named homogenisation simulation and write its outputs.
 
-    Every solve comes first.  The run builds its samples and deformation
+    The run reads its whole config first and accepts exactly the keys it
+    reads, at their JSON types; any other key, at any depth, raises
+    ValueError.  The family size "count" is a top-level key, and the
+    "family_overrides" block holds "lam_max" and "lam_shear" of every family.
+
+    Every solve comes next.  The run builds its samples and deformation
     families, measures every sample under every family, family by family,
     then runs every fit and writes its outputs last, so a failed solve or
     fit writes nothing.  sim4 lists its ungrown sample, to which it fits
     rest lengths, before the grown one.  sim2-sweep is the same run with one
     dilational family over one grown sample per (delta_hv, delta_d) pair;
-    only its writer differs.
-
-    The config's "families" picks the deformation families, and its
-    "family_overrides" may set "count", "lam_max" and "lam_shear" for all
-    of them.  Any other override key, any top-level key the simulation does
-    not read, and a value of the wrong type raise ValueError."""
+    only its writer differs."""
     if name not in SIMULATIONS:
         raise ValueError(f"unknown simulation {name!r}; choose from {SIMULATIONS}")
-    config = dict(config or {})
-    check_config_keys(config, name)
-    overrides = _read(config, "family_overrides", {}, dict)
-    if unknown := sorted(set(overrides) - {"count", "lam_max", "lam_shear"}):
-        raise ValueError(f"unknown family_overrides keys {unknown}; "
-                         "the allowed keys are 'count', 'lam_max' and 'lam_shear'")
     out = Path(out_dir)
     sweep = name == "sim2-sweep"
-    law, opts = _law(config), _solver_opts(config)
-    n, seed = _read(config, "n", 16, int), _read(config, "seed", 0, int)
-    co, rest = lattice.square_connectivity(), _REST[name]
-    resolved = {"simulation": name, "n": n, "q": law.q, "p": law.p, "seed": seed}
 
-    # build: the samples, then every family
-    if sweep:  # pairs is a list, so that a repeated pair writes a repeated row
-        resolved.update({key: _read(config, key, [0.0, 0.2, 0.4], list, float) for key in ("deltas_hv", "deltas_d")})
+    # read: the whole config and the growth scenarios, before any sample is built
+    config = ConfigReader(config or {}, name)
+    law = lattice.SpringLaw(q=config.read("q", 2, "int"))  # p = 0, as every simulation decomposes
+    n, seed = config.read("n", 16, "int"), config.seed
+    resolved = {"simulation": name, "n": n, "q": law.q, "p": law.p, "seed": seed}
+    family = {"count": config.read("count", 21 if sweep else 60, "int")}  # the settings of every family
+    if sweep:  # one dilational family on the default ranges; pairs is a list, so a repeated pair writes a repeated row
+        resolved.update({key: config.read(key, [0.0, 0.2, 0.4], "list of float") for key in ("deltas_hv", "deltas_d")})
         pairs = [(dhv, dd) for dhv in resolved["deltas_hv"] for dd in resolved["deltas_d"]]
         scenarios = [lattice.uniform_growth([(1.0 - dhv, 1.0 + dhv)] * 2 + [(1.0 - dd, 1.0 + dd)] * 2, seed=seed)
                      for dhv, dd in pairs]
-    elif name == "sim1":
-        scenarios = [lattice.checkerboard_growth(_read(config, "high", 1.2, float), seed=seed)]
+        kinds = ["dilational"]
     else:
-        scenarios = [lattice.uniform_growth([_read(config, "growth_interval", [0.8, 1.2], list, float)] * 4, seed=seed)]
+        kinds = config.read("families", ["dilational", "shear"], "list of str")
+        overrides = config.block("family_overrides", {})
+        family["lam_max"] = overrides.read("lam_max", 1.25 if name == "sim1" else 1.5, "float")
+        family["lam_shear"] = overrides.read("lam_shear", 0.25 if name == "sim1" else 0.5, "float")
+        if name == "sim1":
+            resolved["high"] = config.read("high", 1.2, "float")
+            scenarios = [lattice.checkerboard_growth(resolved["high"], seed=seed)]
+        else:
+            resolved["growth_interval"] = config.read("growth_interval", [0.8, 1.2], "list of float")
+            scenarios = [lattice.uniform_growth([resolved["growth_interval"]] * 4, seed=seed)]
+    config.close()
+
+    # build: the samples, then every family
+    co, rest = lattice.square_connectivity(), _REST[name]
     ungrown = [lattice.no_growth(co, seed=seed)] if name == "sim4" else []
     samples = [lattice.build_sample(co, n, rest, scenario, law) for scenario in ungrown + scenarios]
-    kinds = ["dilational"] if sweep else _read(config, "families", ["dilational", "shear"], list, str)
-    lam_max = _read(overrides, "lam_max", 1.25 if name == "sim1" else 1.5, float)
-    lam_shear = _read(overrides, "lam_shear", 0.25 if name == "sim1" else 0.5, float)
-    count = _read(overrides, "count", _read(config, "count", 21 if sweep else 60, int), int)
-    sampled = [homogenize.sample_family(homogenize.DeformationFamily(kind, lam_max, lam_shear, count))
-               for kind in kinds]
+    sampled = [homogenize.sample_family(homogenize.DeformationFamily(kind, **family)) for kind in kinds]
 
     # measure: every solve of the run, before any fit
-    targets = [[homogenize.measured_energies(sample, fs, opts) for sample in samples] for _, fs in sampled]
+    targets = [[homogenize.measured_energies(sample, fs) for sample in samples] for _, fs in sampled]
 
     # fit: rest lengths to sim4's ungrown sample, growth tensors to every grown sample
     ansatz = homogenize.GrowthAnsatz("isotropic", "rotated-diagonal" if name == "sim1" else "isotropic")
@@ -199,10 +219,10 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
                    *([fit.parameters[k] for fit in fits] for k in ("gamma_1", "gamma_2")),
                    [fit.relative_mse for fit in fits], [fit.max_abs_error for fit in fits]])
         surface = [{"delta_hv": dhv, "delta_d": dd, **_fit_summary(fit)} for (dhv, dd), fit in zip(pairs, fits)]
-        summary = {"config": {**resolved, "count": count}, "surface": surface}
+        summary = {"config": {**resolved, **family}, "surface": surface}
     else:
-        summary = {"config": {**resolved, "rest": rest, "scenario_kind": scenarios[0].kind, "families": kinds},
-                   "fits": {}}
+        summary = {"config": {**resolved, "rest": rest, "scenario_kind": scenarios[0].kind, "families": kinds,
+                              **family}, "fits": {}}
         for k, (kind, (params, _), family_targets, [fit]) in enumerate(zip(kinds, sampled, targets, growth_fits)):
             tag = f"{name}_{kind}"
             params = np.reshape(params, (len(params), -1))  # one column per parameter of the family
@@ -221,26 +241,23 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
 
 def run_oned(out_dir, config: dict | None = None) -> dict:
     """Chain energies versus the continuum value for a growth profile."""
-    config = dict(config or {})
-    check_config_keys(config, "oned")
+    config = ConfigReader(config or {}, "oned")
     out = Path(out_dir)
     law = _law(config)
-    profile_spec = config.get("profile", {"kind": "linear", "a": 1.0, "b": 1.0})
-    profile_keys = {"linear": {"kind", "a", "b"}, "constant": {"kind", "value"}}
-    kind = profile_spec.get("kind", "linear") if isinstance(profile_spec, dict) else None
-    if kind not in ("linear", "constant") or set(profile_spec) - profile_keys[kind]:
-        raise ValueError(f"unknown profile {profile_spec!r}; it must be "
-                         "{'kind': 'linear', 'a': ..., 'b': ...} or {'kind': 'constant', 'value': ...}")
+    spec = config.block("profile", {"kind": "linear", "a": 1.0, "b": 1.0})
+    kind = spec.read("kind", "linear", "str")
     if kind == "constant":
-        profile = solver.constant_growth(_read(profile_spec, "value", 1.0, float))
+        profile = solver.constant_growth(spec.read("value", 1.0, "float"))
+    elif kind == "linear":
+        profile = solver.linear_growth(spec.read("a", 1.0, "float"), spec.read("b", 0.0, "float"))
     else:
-        profile = solver.linear_growth(_read(profile_spec, "a", 1.0, float), _read(profile_spec, "b", 0.0, float))
-    rest = _read(config, "rest", 1.0, float)
-    f_values = _read(config, "f_values", [2.0], list, float)
-    ns = _read(config, "ns", [16, 32, 64, 128, 256, 512], list, int)
+        raise ValueError(f"unknown profile kind {kind!r}; it must be 'linear' or 'constant'")
+    rest = config.read("rest", 1.0, "float")
+    f_values = config.read("f_values", [2.0], "list of float")
+    ns = config.read("ns", [16, 32, 64, 128, 256, 512], "list of int")
+    config.close()
     if not ns or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"ns must be a non-empty, strictly increasing list of chain sizes, got {ns}")
-    opts = _solver_opts(config)
 
     chains = []  # one per (f, n), n fastest
     results = []
@@ -248,7 +265,7 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
         continuum_value = solver.one_d_continuum_energy(profile, law, rest, f)
         errors = []
         for n in ns:
-            chains.append(solver.one_d_chain_energy(profile, n, rest, law, f, opts))
+            chains.append(solver.one_d_chain_energy(profile, n, rest, law, f))
             errors.append(abs(chains[-1] - continuum_value))
         # observed convergence order from the last grid doubling
         if len(ns) >= 2 and errors[-1] > 0:
@@ -260,7 +277,7 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
               [[r["f"] for r in results for _ in ns], ns * len(results), chains,
                [r["continuum"] for r in results for _ in ns], [e for r in results for e in r["errors"]]])
     summary = {
-        "config": {"profile": profile_spec, "rest": rest, "q": law.q, "p": law.p, "f_values": f_values, "ns": ns},
+        "config": {"profile": spec.values, "rest": rest, "q": law.q, "p": law.p, "f_values": f_values, "ns": ns},
         "results": results,
     }
     write_json(out / "oned_summary.json", summary)

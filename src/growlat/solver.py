@@ -291,11 +291,10 @@ def one_d_chain(profile: GrowthProfile, n: int, rest: float, law: SpringLaw) -> 
     return dataclasses.replace(sample, growth=increments)
 
 
-def one_d_chain_energy(profile: GrowthProfile, n: int, rest: float, law: SpringLaw, f: float,
-                       opts: SolverOptions | None = None) -> float:
+def one_d_chain_energy(profile: GrowthProfile, n: int, rest: float, law: SpringLaw, f: float) -> float:
     """Per-cell energy of the relaxed grown chain stretched to mean F."""
     sample = one_d_chain(profile, n, rest, law)
-    report = relax_branch(sample, AffineBoundary(np.array([[float(f)]])), opts)
+    report = relax_branch(sample, AffineBoundary(np.array([[float(f)]])))
     if not report.converged:
         raise ConvergenceError(f"chain relaxation failed: {report.message}")
     return report.per_cell_energy

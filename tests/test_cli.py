@@ -240,19 +240,6 @@ def test_error_map_rejects_grids_that_are_not_three_positive_integers(tmp_path):
     assert not (tmp_path / "ex7_error_map.csv").exists()
 
 
-def test_unknown_solver_settings_exit_2(tmp_path):
-    # a solver setting that does not exist is rejected, not silently ignored
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"solver": {"max_iter": 5}}))
-    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "max_iter" in lines[0]
-    assert not (tmp_path / "sim1_summary.json").exists()
-
-
 def test_top_level_family_block_exits_2(tmp_path):
     # a "family" block used to be ignored silently: {"count": 3} still wrote 60 rows
     config = tmp_path / "config.json"
@@ -278,6 +265,8 @@ def test_top_level_family_block_exits_2(tmp_path):
         ("sim1", {"p": 1}),
         # sim2-sweep's one dilational family is fixed; it used to run it whatever families said
         ("sim2-sweep", {"families": ["shear"]}),
+        # the solver block is gone; SolverOptions keeps its default tolerance
+        ("sim1", {"solver": {"gtol_rel": 1e-6}}),
     ],
 )
 def test_simulations_reject_top_level_keys_they_do_not_read(tmp_path, simulation, unread):
@@ -297,15 +286,21 @@ def test_simulations_reject_top_level_keys_they_do_not_read(tmp_path, simulation
     [
         (["simulate", "sim2"], {"growth_interval": 0.8}),
         (["simulate", "sim2-sweep"], {"deltas_hv": 0.2}),
-        (["simulate", "sim1"], {"solver": 5}),
         (["simulate", "sim1"], {"family_overrides": 5}),
         (["simulate", "sim1"], {"count": [2]}),
         (["oned"], {"f_values": 2.0}),
         (["oned"], {"ns": 16}),
         (["order"], {"lattice": 5}),
         (["check"], {"seed": "x"}),
+        # each of these used to be coerced: to N = 4, count 2, ["d", "s"], F = 2.0 and seed 1
+        (["simulate", "sim1"], {"n": 4.9}),
+        (["simulate", "sim1"], {"count": "2"}),
+        (["simulate", "sim1"], {"families": "ds"}),
+        (["oned"], {"f_values": "2"}),
+        (["simulate", "sim1"], {"seed": True}),
     ],
-    ids=["growth_interval", "deltas_hv", "solver", "family_overrides", "count", "f_values", "ns", "lattice", "seed"],
+    ids=["growth_interval", "deltas_hv", "family_overrides", "count", "f_values", "ns", "lattice", "seed",
+         "n-float", "count-string", "families-string", "f_values-string", "seed-bool"],
 )
 def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, command, config):
     # each of these used to stop with a traceback and exit 1, the code of a failed check
@@ -322,11 +317,47 @@ def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, comma
 
 
 @pytest.mark.parametrize(
+    "lattice, key",
+    [({"rest": [[1]]}, "rest"), ({"rest": "x"}, "rest"), ({"directions": [[1.5, 0], [0, 1]]}, "directions")],
+    ids=["rest-nested-list", "rest-string", "directions-float"],
+)
+def test_a_lattice_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, lattice, key):
+    # [[1]] used to stop with a TypeError traceback, "x" with a message naming no key,
+    # and [1.5, 0] became the direction (1, 0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lattice": lattice}))
+    result = run_cli(tmp_path, "--config", str(path), "order")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r} in lattice must be ")
+    assert result.stdout == ""
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize("command", ["order", "ground-state", "decompose"])
+@pytest.mark.parametrize("lattice", [{"rset": [1, 1, 1, 1]}, {"growth": [1, 1, 1, 1], "law": 3}],
+                         ids=["misspelt-rest", "law"])
+def test_the_lattice_block_rejects_keys_it_does_not_read(tmp_path, command, lattice):
+    # these keys used to be ignored, and the command ran on the default lattice
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lattice": lattice}))
+    result = run_cli(tmp_path, "--config", str(path), command)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    unknown = sorted(set(lattice) - {"growth"})
+    assert len(lines) == 1 and lines[0].startswith(f"error: unknown lattice keys {unknown}; it reads ")
+    assert result.stdout == ""
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize(
     "simulation, config, message",
     [
-        ("sim4", {"n": 8, "family_overrides": {"lam_max": 1.2, "count": 7}},
+        ("sim4", {"n": 8, "count": 7, "family_overrides": {"lam_max": 1.2}},
          "sample 0, F = [[0.8333333333333334, 0.0], [0.0, 0.8333333333333334]]"),
-        ("sim1", {"n": 4, "family_overrides": {"count": 3, "lam_shear": -0.1}}, "lam_shear must be positive"),
+        ("sim1", {"n": 4, "count": 3, "family_overrides": {"lam_shear": -0.1}}, "lam_shear must be positive"),
     ],
     ids=["failed-grown-solve", "invalid-shear-family"],
 )
@@ -346,7 +377,7 @@ def test_a_simulation_that_exits_2_writes_nothing(tmp_path, simulation, config, 
 def test_branch_simulations_finish_on_a_stable_range(tmp_path, simulation):
     # lam_max = 1.2 keeps every datum on the stable branch at N = 4
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"n": 4, "family_overrides": {"count": 3, "lam_max": 1.2}}))
+    path.write_text(json.dumps({"n": 4, "count": 3, "family_overrides": {"lam_max": 1.2}}))
     result = run_cli(tmp_path, "--config", str(path), "simulate", simulation)
     assert result.returncode == 0, result.stderr
     families = ("dilational", "shear")
@@ -407,8 +438,9 @@ def test_keys_that_flags_set_count_as_read(tmp_path):
         (["ground-state"], {"growth": [1.1, 1.1, 1.1, 1.1]}),
         (["decompose"], {"nonsense_key": 1}),
         (["simulate", "sim4", "--n", "4"], {"relaxation": "minimize"}),
+        (["oned"], {"solver": {"gtol_rel": 1e-6}}),
     ],
-    ids=["error-map", "oned", "check", "order", "ground-state", "decompose", "simulate-relaxation"],
+    ids=["error-map", "oned", "check", "order", "ground-state", "decompose", "simulate-relaxation", "oned-solver"],
 )
 def test_commands_reject_top_level_keys_they_do_not_read(tmp_path, command, unread):
     # oned and error-map used to ignore such keys and run on their defaults;
@@ -448,39 +480,24 @@ def test_oned_rejects_sizes_out_of_order_and_unknown_profiles(tmp_path, config, 
     assert not list(tmp_path.glob("oned_*"))
 
 
-@pytest.mark.parametrize("gtol_rel", [-1, 0])
-def test_a_solver_tolerance_that_is_not_positive_exits_2(tmp_path, gtol_rel):
-    # such a tolerance used to run every solve to its step limit before it failed
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 4, "count": 2, "solver": {"gtol_rel": gtol_rel}}))
-    result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "gtol_rel" in lines[0]
-    assert not list(tmp_path.glob("sim1_*"))
-
-
-@pytest.mark.parametrize("override", [{"kind": "box-grid"}, {"lam": 1.2}])
+@pytest.mark.parametrize("override", [{"kind": "box-grid"}, {"lam": 1.2}, {"count": 3}])
 def test_family_overrides_other_than_count_and_ranges_exit_2(tmp_path, override):
     # "kind" used to turn every family into box-grid under the families' own output names,
-    # and other unknown keys were ignored silently
+    # and other unknown keys were ignored silently; "count" is a top-level key only
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"count": 2, "n": 4, "family_overrides": override}))
     result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    for name in (*override, "count", "lam_max", "lam_shear"):
-        assert repr(name) in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"error: unknown family_overrides keys {sorted(override)}; ")
+    assert lines[0].endswith("it reads ['lam_max', 'lam_shear']")
     assert not list(tmp_path.glob("sim1_*"))
 
 
 def test_family_overrides_set_count_and_ranges_of_every_family(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": 4, "family_overrides": {"count": 3, "lam_max": 1.1, "lam_shear": 0.1}}))
+    config.write_text(json.dumps({"n": 4, "count": 3, "family_overrides": {"lam_max": 1.1, "lam_shear": 0.1}}))
     result = run_cli(tmp_path, "--config", str(config), "simulate", "sim1")
     assert result.returncode == 0, result.stderr
     for family, lams in (("dilational", [1 / 1.1, (1 / 1.1 + 1.1) / 2, 1.1]), ("shear", [-0.1, 0.0, 0.1])):

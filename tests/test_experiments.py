@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -94,7 +95,7 @@ SWEEP_EVENTS = [
 @pytest.mark.parametrize(
     "name, config, expected",
     [
-        ("sim4", {"n": 4, "family_overrides": {"count": 3, "lam_max": 1.2}}, SIM4_EVENTS),
+        ("sim4", {"n": 4, "count": 3, "family_overrides": {"lam_max": 1.2}}, SIM4_EVENTS),
         ("sim2-sweep", {"n": 4, "count": 3, "deltas_hv": [0.0, 0.0], "deltas_d": [0.0]}, SWEEP_EVENTS),
     ],
     ids=["sim4", "sim2-sweep"],
@@ -103,7 +104,7 @@ def test_a_simulation_solves_everything_before_it_fits_and_fits_before_it_writes
         tmp_path, monkeypatch, name, config, expected):
     # solves run family by family, and within a family sim4's ungrown sample comes first
     events = []
-    record_calls(monkeypatch, events, homogenize, "measured_energies", lambda sample, fs, opts: (
+    record_calls(monkeypatch, events, homogenize, "measured_energies", lambda sample, fs, opts=None: (
         "measure", "ungrown" if np.all(sample.growth == 1.0) else "grown",
         "shear" if np.any(fs[:, 0, 1]) else "dilational"))
     for fit in ("fit_rest_lengths", "fit_growth"):
@@ -112,3 +113,22 @@ def test_a_simulation_solves_everything_before_it_fits_and_fits_before_it_writes
         record_calls(monkeypatch, events, experiments, write, lambda path, *args: ("write", Path(path).name))
     experiments.run_simulation(name, tmp_path, config)
     assert events == expected
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("sim1", {"n": 4, "count": 2, "high": 1.1, "families": ["dilational"],
+                  "family_overrides": {"lam_max": 1.2, "lam_shear": 0.2}}),
+        ("sim2", {"n": 4, "count": 3, "growth_interval": [0.9, 1.1], "families": ["shear"],
+                  "family_overrides": {"lam_max": 1.2, "lam_shear": 0.3}}),
+    ],
+)
+def test_a_simulation_summary_records_every_setting_it_read(tmp_path, name, config):
+    # count, lam_max, lam_shear, high and growth_interval used to be left out, so a run on
+    # these values wrote the same config block as a run on the defaults
+    experiments.run_simulation(name, tmp_path, config)
+    written = json.loads((tmp_path / f"{name}_summary.json").read_text())["config"]
+    expected = {key: value for key, value in config.items() if key != "family_overrides"}
+    expected.update(config["family_overrides"])
+    assert {key: written[key] for key in expected} == expected
