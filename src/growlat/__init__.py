@@ -25,7 +25,6 @@ from .lattice import (
     uniform_growth,
 )
 from .continuum import (
-    AdmissibilityResult,
     Decomposition,
     ErrorMap,
     GroundState,
@@ -40,10 +39,9 @@ from .continuum import (
     ground_state,
     growth_tensors,
     is_shear,
+    length_preserving_shears,
     multiplicative_admissible,
     rotation,
-    shear_family,
-    shear_witness_order1,
     square_partition_choices,
     upper_triangular,
 )

@@ -11,6 +11,12 @@ grown density generally cannot be written as W_i(F G^{-1}); it can always
 be split additively into K parts (K = lattice order), each carrying its
 own growth tensor G_k with G_k^{-1} v = v / g_v on its direction class.
 
+The witnesses of that incompatibility are built from the class bases C
+that `decompose` keeps: each part energy W_k vanishes on the
+`length_preserving_shears` of its class basis, and growth admits a single
+tensor iff the G_k that `growth_tensors` builds from C coincide
+(`multiplicative_admissible`), which on the square lattice means dilation.
+
 The density's gradient and Hessian in F share the spring kernel and Hessian
 block with the discrete solver; the ground state of a grown density is one
 Newton solve on that exact Hessian over upper-triangular F.
@@ -21,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import Connectivity, HomogeneousLattice, OrderResult, lattice_order, square_connectivity
+from .lattice import HomogeneousLattice, lattice_order
 from .springs import per_length, spring_hessian_block, spring_terms
 
 GEOMETRIC_TOL = 1e-10
@@ -32,11 +38,15 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def upper_triangular(lam1: float, lam2: float, lam3: float) -> np.ndarray:
-    """Deformation gradient [[lam1, lam3], [0, lam2]] with lam1, lam2 > 0."""
-    if lam1 <= 0 or lam2 <= 0:
+def upper_triangular(lam1, lam2, lam3) -> np.ndarray:
+    """Deformation gradients [[lam1, lam3], [0, lam2]] with lam1, lam2 > 0,
+    broadcast over arrays of the three entries; shape (..., 2, 2)."""
+    lam1, lam2, lam3 = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (lam1, lam2, lam3)))
+    if np.any(lam1 <= 0) or np.any(lam2 <= 0):
         raise ValueError("diagonal entries must be positive")
-    return np.array([[lam1, lam3], [0.0, lam2]])
+    fs = np.zeros(lam1.shape + (2, 2))
+    fs[..., 0, 0], fs[..., 1, 1], fs[..., 0, 1] = lam1, lam2, lam3
+    return fs
 
 
 def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
@@ -155,39 +165,22 @@ def extend_to_basis(vectors, dim: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def shear_witness_order1(connectivity: Connectivity, angle: float = math.pi / 4) -> np.ndarray:
-    """A shear F with F v = v on the first direction and F v = R v on the
-    rest of an extended basis; the Cauchy-Born energy of any lattice on an
-    order-1 connectivity takes the same value at F as at the identity."""
-    d = connectivity.dimension
-    if d < 2:
+def length_preserving_shears(basis, thetas) -> np.ndarray:
+    """F(theta) = U(theta) C^{-1} for the basis columns c_i of C, stacked over
+    `thetas`; shape thetas.shape + (D, D).  U sends c_1 to |c_1| e_1, c_2 to
+    |c_2| (cos theta, sin theta, 0, ...) and every other c_i to |c_i| e_i, so
+    F keeps every |c_i| and is a shear wherever it changes the angle between
+    c_1 and c_2: springs along the c_i with rest lengths |c_i| stay unstretched.
+    """
+    c = np.asarray(basis, dtype=float)
+    if c.shape[0] < 2:
         raise ValueError("shears require dimension >= 2")
-    order = lattice_order(connectivity)
-    if order.order != 1:
-        raise ValueError(f"connectivity has order {order.order}, expected 1")
-    basis = extend_to_basis([np.asarray(v, float) for v in connectivity.directions], d)
-
-    def witness(r: np.ndarray) -> np.ndarray | None:
-        targets = np.vstack([basis[0], (basis[1:] @ r.T)])
-        f = np.linalg.solve(basis, targets).T  # F basis_i = targets_i
-        if abs(basis[0] @ (r @ basis[1]) - basis[0] @ basis[1]) <= GEOMETRIC_TOL:
-            return None
-        return f
-
-    # plane rotations in coordinate planes; the first that changes the
-    # inner product <v1, R v2> yields a norm-preserving non-rotation
-    for i in range(d):
-        for j in range(i + 1, d):
-            for theta in (angle, -angle, angle / 2):
-                r = np.eye(d)
-                r[i, i] = math.cos(theta)
-                r[j, j] = math.cos(theta)
-                r[i, j] = -math.sin(theta)
-                r[j, i] = math.sin(theta)
-                f = witness(r)
-                if f is not None and is_shear(f, basis):
-                    return f
-    raise RuntimeError("no shear witness found; connectivity may be degenerate")
+    thetas = np.asarray(thetas, dtype=float)
+    norms = np.linalg.norm(c, axis=0)
+    u = np.tile(np.diag(norms), thetas.shape + (1, 1))
+    u[..., 0, 1] = norms[1] * np.cos(thetas)
+    u[..., 1, 1] = norms[1] * np.sin(thetas)
+    return u @ np.linalg.inv(c)
 
 
 def square_partition_choices() -> tuple:
@@ -198,27 +191,6 @@ def square_partition_choices() -> tuple:
         ((e1, ep), (e2, em)),
         ((e1, em), (e2, ep)),
     )
-
-
-def shear_family(choice: int, part: int, theta: float) -> np.ndarray:
-    """One-parameter family of shears on which the given part energy of the
-    square-lattice decomposition vanishes (rest lengths (1, 1, sqrt2, sqrt2),
-    no growth).  choice in {0, 1, 2} selects the pairing from
-    square_partition_choices(); part in {0, 1}."""
-    c, s = math.cos(theta), math.sin(theta)
-    r2 = math.sqrt(2.0)
-    families = {
-        (0, 0): [[1.0, c], [0.0, s]],
-        (0, 1): [[(1 - c) / r2, (1 + c) / r2], [-s / r2, s / r2]],
-        (1, 0): [[1.0, r2 * c - 1.0], [0.0, r2 * s]],
-        (1, 1): [[r2 * c + 1.0, 1.0], [r2 * s, 0.0]],
-        (2, 0): [[1.0, r2 * c + 1.0], [0.0, r2 * s]],
-        (2, 1): [[r2 * c - 1.0, 1.0], [r2 * s, 0.0]],
-    }
-    try:
-        return np.array(families[(choice, part)])
-    except KeyError:
-        raise ValueError("choice must be in {0,1,2} and part in {0,1}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -338,43 +310,24 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
 # Dilation-only multiplicative decomposition
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    admissible: bool
-    growth: np.ndarray | None       # g * I when admissible
-    violated: str | None            # description of the first failed constraint
-    residuals: tuple[float, float, float]
+def multiplicative_admissible(parts, factors, tol: float = GEOMETRIC_TOL) -> np.ndarray:
+    """Whether per-direction growth factors of shape (..., n_dirs) admit a
+    single growth tensor G with W_g(F) = W_i(F G^{-1}) for all F; shape (...).
 
-
-def multiplicative_admissible(factors, tol: float = GEOMETRIC_TOL) -> AdmissibilityResult:
-    """Check whether square-lattice growth (g1, g2, g+, g-) admits a single
-    growth tensor G with W_g(F) = W_i(F G^{-1}) for all F.
-
-    Three necessary constraints are tested; together they force all four
-    factors equal, in which case G = g I works (the lattice has dilated).
+    They do iff the tensors `growth_tensors(parts, factors)` coincide, to
+    `tol` relative to the largest entry of G_1; on the square lattice that
+    makes G a dilation g I.  The tensors are fixed by the factors only if
+    every class spans R^D, so any other class raises ValueError, as does a
+    factor that is not positive.
     """
-    g1, g2, gp, gm = (float(g) for g in factors)
-    if min(g1, g2, gp, gm) <= 0:
+    if any(len(p.index) != len(p.basis) for p in parts):
+        raise ValueError("admissibility needs every class to span R^D")
+    factors = np.asarray(factors, dtype=float)
+    if not np.all(factors > 0):
         raise ValueError("growth factors must be positive")
-    lhs1 = 1 / g1**2 + 1 / g2**2
-    rhs1 = 1 / gp**2 + 1 / gm**2
-    lhs2 = g1**2 + g2**2
-    rhs2 = gp**2 + gm**2
-    lhs3 = (g1**2 + g2**2) * (1 / gp**2 + 1 / gm**2)
-    r1 = abs(lhs1 - rhs1) / max(abs(lhs1), abs(rhs1))
-    r2 = abs(lhs2 - rhs2) / max(abs(lhs2), abs(rhs2))
-    r3 = abs(lhs3 - 4.0) / 4.0
-    residuals = (r1, r2, r3)
-    checks = (
-        (r1, f"reciprocal-square sums differ: {lhs1:.12g} vs {rhs1:.12g}"),
-        (r2, f"square sums differ: {lhs2:.12g} vs {rhs2:.12g}"),
-        (r3, f"product of sums is {lhs3:.12g}, not 4"),
-    )
-    for resid, message in checks:
-        if resid > tol:
-            return AdmissibilityResult(False, None, message, residuals)
-    g = (g1 + g2 + gp + gm) / 4.0
-    return AdmissibilityResult(True, g * np.eye(2), None, residuals)
+    tensors = np.stack([g for g, _ in growth_tensors(parts, factors)])  # (K, ..., D, D)
+    spread = np.max(np.abs(tensors - tensors[0]), axis=(0, -2, -1))
+    return spread <= tol * np.max(np.abs(tensors[0]), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +458,7 @@ def fractional_error_map(
     The growth tensor defaults to the ground state of the grown lattice.
     Grid points where the grown energy vanishes are flagged undefined and
     excluded from the threshold masks.  Raises ValueError unless `counts` is
-    three positive integers.
+    three positive integers and the lam1 and lam2 ranges are positive.
     """
     if np.shape(counts) != (3,) or not all(
         isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in counts
@@ -521,17 +474,13 @@ def fractional_error_map(
     lam1 = np.linspace(*lam1_range, counts[0])
     lam2 = np.linspace(*lam2_range, counts[1])
     lam3 = np.linspace(*lam3_range, counts[2])
-    a, b, c = np.meshgrid(lam1, lam2, lam3, indexing="ij")
-    fs = np.zeros(a.shape + (2, 2))
-    fs[..., 0, 0] = a
-    fs[..., 1, 1] = b
-    fs[..., 0, 1] = c
+    fs = upper_triangular(*np.meshgrid(lam1, lam2, lam3, indexing="ij"))
 
     w_g = cauchy_born_energy_many(grown, fs)
     # F G^{-1} for the whole grid as one GEMM over the rows of every F
     w_i = cauchy_born_energy_many(initial, (fs.reshape(-1, 2) @ g_inv).reshape(fs.shape))
     defined = w_g > 0.0
-    values = np.full(a.shape, np.nan)
+    values = np.full(fs.shape[:-2], np.nan)
     values[defined] = w_i[defined] / w_g[defined] - 1.0
     masks = {t: defined & (np.abs(np.where(defined, values, 0.0)) > t) for t in thresholds}
     return ErrorMap(lam1, lam2, lam3, values, defined, masks, g)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuum import Decomposition, growth_tensors, mapped_lengths
+from .continuum import Decomposition, growth_tensors, mapped_lengths, upper_triangular
 from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, relax_branch
 # `bench/spans.py` wraps this name; ROADMAP item 4's benchmark change deletes it.
@@ -65,13 +65,8 @@ def sample_family(family: DeformationFamily):
     if kind == "box-grid":
         lam_d = np.linspace(1.0 / family.lam_max, family.lam_max, family.count)
         lam_s = np.linspace(-family.lam_shear, family.lam_shear, family.count)
-        a, b, c = np.meshgrid(lam_d, lam_d, lam_s, indexing="ij")
-        params = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1)
-        fs = np.zeros((len(params), 2, 2))
-        fs[:, 0, 0] = params[:, 0]
-        fs[:, 1, 1] = params[:, 1]
-        fs[:, 0, 1] = params[:, 2]
-        return params, fs
+        fs = upper_triangular(*np.meshgrid(lam_d, lam_d, lam_s, indexing="ij")).reshape(-1, 2, 2)
+        return fs[:, [0, 1, 0], [0, 1, 1]], fs
     if kind == "shear":
         lams = np.linspace(-family.lam_shear, family.lam_shear, family.count)
     else:

@@ -279,16 +279,6 @@ class FiniteLatticeSample:
         return self.nodes.astype(float) @ f.T
 
     @cached_property
-    def interior_nodes(self) -> np.ndarray:
-        """Indices of the nodes off the boundary, in node order, built on
-        first use.  A spring with step v joins interior nodes whose ranks
-        differ by v read in base N - 1, so the interior Hessian is banded:
-        for the square lattice, whose longest such difference is N (step
-        (1, 1)), its half-bandwidth is 2N + 1 degrees of freedom, and the
-        band of `direction_plan` holds it and its Cholesky factor."""
-        return np.flatnonzero(~self.boundary_mask())
-
-    @cached_property
     def direction_plan(self) -> "DirectionPlan":
         """This sample's `DirectionPlan`, built on first use."""
         n, dim, zero = self.n, self.dimension, (0,) * self.dimension

@@ -12,7 +12,10 @@ gradient and interior Hessian, all three built from one call of the spring
 kernel (`springs.spring_terms`) per iterate; the per-edge Hessian blocks use
 the arithmetic of `springs.spring_hessian_block`, which the Cauchy-Born
 Hessian shares.  The interior degrees of freedom are numbered in node order
-(`FiniteLatticeSample.interior_nodes`), which makes the Hessian banded.
+(`np.flatnonzero(~sample.boundary_mask())`), which makes the Hessian banded:
+a spring with step v joins interior nodes whose ranks differ by v read in
+base N - 1, so for the square lattice, whose longest such difference is N
+(step (1, 1)), the half-bandwidth is 2N + 1 degrees of freedom.
 Edge vectors, gradient and band are each assembled one lattice direction
 at a time, by slices of the node grid that `build_sample`'s edge layout
 gives (`FiniteLatticeSample.direction_plan`): the band goes straight into

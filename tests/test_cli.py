@@ -317,6 +317,39 @@ def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, comma
 
 
 @pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (["simulate", "sim1"], {"families": []}, "config key 'families' must be non-empty list of str"),
+        (["oned"], {"f_values": []}, "config key 'f_values' must be non-empty list of float"),
+        (["simulate", "sim2-sweep"], {"deltas_hv": []}, "config key 'deltas_hv' must be non-empty list of float"),
+        (["simulate", "sim2-sweep"], {"deltas_d": []}, "config key 'deltas_d' must be non-empty list of float"),
+        (["simulate", "sim1"], {"families": ["dilational", "dilational"]},
+         "config key 'families' names a family twice"),
+        (["simulate", "sim2"], {"growth_interval": [0.8, 1.2, 1.5]},
+         "config key 'growth_interval' must be [low, high]"),
+        (["simulate", "sim2"], {"growth_interval": []}, "config key 'growth_interval' must be non-empty list"),
+        (["oned"], {"rest": 0}, "config key 'rest' must be positive"),
+        (["oned"], {"rest": -1.0}, "config key 'rest' must be positive"),
+    ],
+    ids=["families-empty", "f_values-empty", "deltas_hv-empty", "deltas_d-empty", "families-repeated",
+         "growth_interval-three", "growth_interval-empty", "rest-zero", "rest-negative"],
+)
+def test_an_empty_list_a_repeated_family_or_a_bad_value_exits_2_naming_its_key(tmp_path, command, config, message):
+    # the empty lists and the repeated family used to run and exit 0, the second fit of a repeated
+    # family overwriting the first; the intervals stopped on an unpack error naming no key, and a
+    # rest length that is not positive on "failed to bracket the stress"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 4, "count": 3, **config} if command[0] == "simulate" else config))
+    result = run_cli(tmp_path, "--config", str(path), *command)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert result.stdout == ""
+    assert not [path for path in tmp_path.iterdir() if path.name != "config.json"]
+
+
+@pytest.mark.parametrize(
     "lattice, key",
     [({"rest": [[1]]}, "rest"), ({"rest": "x"}, "rest"), ({"directions": [[1.5, 0], [0, 1]]}, "directions")],
     ids=["rest-nested-list", "rest-string", "directions-float"],

@@ -19,12 +19,11 @@ from growlat.continuum import (
     ground_state,
     growth_tensors,
     is_shear,
+    length_preserving_shears,
     mapped_directions,
     mapped_lengths,
     multiplicative_admissible,
     rotation,
-    shear_family,
-    shear_witness_order1,
     square_partition_choices,
     upper_triangular,
 )
@@ -182,39 +181,69 @@ class TestShears:
         with pytest.raises(ValueError):
             is_shear(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]))
 
+    @staticmethod
+    def order1_witness(connectivity):
+        """The length-preserving shear at 3 pi / 4 of the connectivity's extended basis."""
+        basis = extend_to_basis(connectivity.matrix, connectivity.dimension)
+        return length_preserving_shears(basis.T, 3 * math.pi / 4), basis
+
     def test_witness_for_single_direction(self):
-        f = shear_witness_order1(Connectivity(2, ((1, 0),)), angle=math.pi / 4)
+        f, _ = self.order1_witness(Connectivity(2, ((1, 0),)))
         expected = np.array([[1.0, -math.sqrt(2) / 2], [0.0, math.sqrt(2) / 2]])
         assert np.allclose(f, expected, atol=1e-12)
 
     def test_witness_for_order_one_pair(self):
         co = Connectivity(2, ((1, 0), (0, 1)))
-        f = shear_witness_order1(co)
-        basis = extend_to_basis([np.array(v, float) for v in co.directions], 2)
+        f, basis = self.order1_witness(co)
         assert is_shear(f, basis)
         lat = HomogeneousLattice(co, (1.0, 1.3), (0.9, 1.2), SpringLaw())
         assert cauchy_born_energy(lat, f) == pytest.approx(cauchy_born_energy(lat, np.eye(2)), abs=1e-12)
 
     def test_witness_rejects_one_dimension(self):
-        with pytest.raises(ValueError):
-            shear_witness_order1(Connectivity(1, ((1,),)))
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            self.order1_witness(Connectivity(1, ((1,),)))
 
     def test_witness_rejects_higher_order(self):
-        with pytest.raises(ValueError):
-            shear_witness_order1(lattice.square_connectivity())
+        # four directions in the plane are no basis to extend
+        with pytest.raises(ValueError, match="cannot be extended"):
+            self.order1_witness(lattice.square_connectivity())
 
     def test_shear_families_vanish_and_are_shears(self):
         lat = square_lattice()
         decs = [decompose(lat, choice) for choice in square_partition_choices()]
         rng = np.random.default_rng(5)
-        for c in range(3):
-            for part in range(2):
-                for theta in np.linspace(0.07, 2 * math.pi - 0.07, 25):
-                    f = shear_family(c, part, theta)
-                    assert abs(decs[c].part_energy(part, f)) <= 1e-12
+        thetas = np.linspace(0.07, 2 * math.pi - 0.07, 25)  # none turns c_2 back to its own angle
+        for dec in decs:
+            for k, part in enumerate(dec.parts):
+                for f in length_preserving_shears(part.basis, thetas):
+                    assert is_shear(f, part.basis.T)
+                    assert abs(dec.part_energy(k, f)) <= 1e-12
                     # rotations leave the part energy unchanged
                     r = rotation(rng.uniform(0, 2 * math.pi))
-                    assert abs(decs[c].part_energy(part, r @ f)) <= 1e-12
+                    assert abs(dec.part_energy(k, r @ f)) <= 1e-12
+
+    def test_stacked_shears_equal_the_shears_of_one_angle_to_the_bit(self):
+        thetas = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        decs = [decompose(square_lattice(), choice) for choice in square_partition_choices()]
+        bases = [part.basis for dec in decs for part in dec.parts]
+        bases.append(extend_to_basis([(1, -1, 1), (0, 1, 2)], 3).T)
+        for basis in bases:
+            stacked = length_preserving_shears(basis, thetas)
+            assert stacked.shape == (3, 4) + basis.shape
+            for index in np.ndindex(3, 4):
+                assert stacked[index].tobytes() == length_preserving_shears(basis, thetas[index]).tobytes()
+
+    def test_shears_keep_every_basis_length_and_turn_only_the_second_vector(self):
+        basis = extend_to_basis([(1, -1, 1), (0, 1, 2)], 3).T
+        for theta in (0.3, 2.0, -1.1):
+            f = length_preserving_shears(basis, theta)
+            mapped = f @ basis
+            assert np.allclose(np.linalg.norm(mapped, axis=0), np.linalg.norm(basis, axis=0), rtol=0.0, atol=1e-14)
+            norms = np.linalg.norm(basis, axis=0)
+            assert np.allclose(mapped[:, 0], [norms[0], 0, 0], rtol=0.0, atol=1e-14)
+            assert np.allclose(mapped[:, 1], norms[1] * np.array([math.cos(theta), math.sin(theta), 0]),
+                               rtol=0.0, atol=1e-14)
+            assert np.allclose(mapped[:, 2], [0, 0, norms[2]], rtol=0.0, atol=1e-14)
 
 
 class TestDecomposition:
@@ -344,26 +373,29 @@ class TestDecomposition:
         assert len(payload["growth_tensors"][0]) == 4
 
 
+SQUARE_PARTS = [decompose(square_lattice(), choice).parts for choice in square_partition_choices()]
+
+
 class TestAdmissibility:
     def test_equal_growth_is_admissible(self):
-        res = multiplicative_admissible((1.3, 1.3, 1.3, 1.3))
-        assert res.admissible
-        assert np.allclose(res.growth, 1.3 * np.eye(2))
+        for parts in SQUARE_PARTS:
+            assert multiplicative_admissible(parts, (1.3, 1.3, 1.3, 1.3))
+            for g, _ in growth_tensors(parts, (1.3, 1.3, 1.3, 1.3)):
+                assert np.allclose(g, 1.3 * np.eye(2))
 
     def test_identity_growth(self):
-        assert multiplicative_admissible((1.0, 1.0, 1.0, 1.0)).admissible
+        for parts in SQUARE_PARTS:
+            assert multiplicative_admissible(parts, (1.0, 1.0, 1.0, 1.0))
 
-    def test_diagonal_shrink_fails_first_constraint(self):
-        res = multiplicative_admissible((1, 1, 0.9, 0.9))
-        assert not res.admissible
-        assert "reciprocal-square" in res.violated
-        # the two sides of the violated constraint
-        assert res.residuals[0] > 1e-3
+    def test_diagonal_shrink_is_not_admissible(self):
+        for parts in SQUARE_PARTS:
+            assert not multiplicative_admissible(parts, (1, 1, 0.9, 0.9))
 
     @settings(max_examples=200, deadline=None)
     @given(g=st.floats(0.1, 5.0))
     def test_equal_line_property(self, g):
-        assert multiplicative_admissible((g, g, g, g)).admissible
+        for parts in SQUARE_PARTS:
+            assert multiplicative_admissible(parts, (g, g, g, g))
 
     def test_single_factor_perturbation_breaks_admissibility(self):
         rng = np.random.default_rng(8)
@@ -372,11 +404,30 @@ class TestAdmissibility:
             idx = int(rng.integers(0, 4))
             factors = [g] * 4
             factors[idx] += 1e-6 * (1 if rng.random() < 0.5 else -1)
-            assert not multiplicative_admissible(tuple(factors)).admissible
+            for parts in SQUARE_PARTS:
+                assert not multiplicative_admissible(parts, factors)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            multiplicative_admissible((1.0, -1.0, 1.0, 1.0))
+        for factors in ((1.0, -1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0), (1.0, float("nan"), 1.0, 1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                multiplicative_admissible(SQUARE_PARTS[0], factors)
+
+    def test_a_class_that_does_not_span_the_space_is_rejected(self):
+        # a single direction leaves G_k on the rest of the plane to the standard vectors
+        # that extend it, so coinciding tensors would prove nothing
+        parts = decompose(square_lattice(), (((1, 0),), ((0, 1),), ((1, 1), (1, -1)))).parts
+        with pytest.raises(ValueError, match="span"):
+            multiplicative_admissible(parts, (1.0, 1.0, 1.0, 1.0))
+
+    def test_a_stack_of_factors_gives_the_verdict_of_each_row(self):
+        rng = np.random.default_rng(9)
+        factors = np.repeat(rng.uniform(0.6, 1.5, (6, 1)), 4, axis=1)
+        factors[::2] = rng.uniform(0.6, 1.5, (3, 4))
+        for parts in SQUARE_PARTS:
+            verdicts = multiplicative_admissible(parts, factors.reshape(2, 3, 4))
+            assert verdicts.shape == (2, 3)
+            assert verdicts.ravel().tolist() == [bool(multiplicative_admissible(parts, row)) for row in factors]
+            assert verdicts.ravel().tolist() == [False, True] * 3
 
 
 class TestGroundState:

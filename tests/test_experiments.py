@@ -31,11 +31,12 @@ def worst_residuals_by_draw(seed, n_random, perturb_g2):
 
     worst_shear = 0.0
     lat0 = lattice.square_lattice(law=law)
-    for c, choice in enumerate(continuum.square_partition_choices()):
+    for choice in continuum.square_partition_choices():
         dec = continuum.decompose(lat0, choice)
-        for part in range(2):
+        for k, part in enumerate(dec.parts):
             for theta in np.linspace(0.05, 2 * math.pi - 0.05, 50):
-                worst_shear = max(worst_shear, abs(dec.part_energy(part, continuum.shear_family(c, part, theta))))
+                f = continuum.length_preserving_shears(part.basis, theta)
+                worst_shear = max(worst_shear, abs(dec.part_energy(k, f)))
     return worst, worst_shear
 
 
@@ -67,6 +68,16 @@ def test_run_checks_decomposes_once_per_partition(monkeypatch):
     monkeypatch.setattr(continuum, "decompose", counted)
     assert experiments.run_checks(n_random=20)["ok"]
     assert 0 < len(calls) <= 3
+
+
+def test_run_checks_asks_admissibility_once_for_every_draw(monkeypatch):
+    # 20 equal and 20 mixed factor draws, stacked into one call
+    calls = []
+    record_calls(monkeypatch, calls, continuum, "multiplicative_admissible", lambda parts, factors: factors)
+    assert experiments.run_checks(n_random=20)["ok"]
+    [factors] = calls
+    assert np.shape(factors) == (40, 4)
+    assert np.all(factors[:20] == factors[:20, :1])
 
 
 def record_calls(monkeypatch, events, module, name, event):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from growlat import continuum, lattice
+from growlat import continuum, homogenize, lattice
 from growlat.homogenize import (
     DeformationFamily,
     GrowthAnsatz,
@@ -137,3 +137,29 @@ def test_fit_rest_lengths_recovers_rest_lengths():
         assert result.parameters[f"L_{'_'.join(str(c) for c in v)}"] == pytest.approx(length, abs=1e-8)
     assert result.rank == len(want)
     assert result.relative_mse <= 1e-20
+
+
+# ---------------------------------------------------------------------------
+# Measured energies against an exact identity
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [4, 16])
+def test_sim1_targets_are_the_mean_of_two_cauchy_born_densities(monkeypatch, n, q):
+    # every cell of sim1's checkerboard keeps a zero-energy shape, so the affine state is the
+    # equilibrium under each family's F: no Newton step, and the per-cell energy is
+    # (W_A + W_B) / 2 for the lattices grown by (1, 1, h, sqrt(2 - h^2)) and its swap
+    high, law, rest = 1.2, lattice.SpringLaw(q=q), (1.0, 1.0, SQRT2, SQRT2)
+    sample = lattice.build_sample(lattice.square_connectivity(), n, rest, lattice.checkerboard_growth(high), law)
+    fs = np.concatenate([sample_family(DeformationFamily(kind, lam_max=1.25, lam_shear=0.25))[1]
+                         for kind in ("dilational", "shear")])
+    reports = []
+    relax_branch = homogenize.relax_branch
+    monkeypatch.setattr(homogenize, "relax_branch", lambda *args: reports.append(relax_branch(*args)) or reports[-1])
+    measured = homogenize.measured_energies(sample, fs)
+    low = math.sqrt(2.0 - high**2)
+    square = lattice.square_lattice(rest=rest, law=law)
+    w_a, w_b = (continuum.cauchy_born_energy_many(lattice.apply_growth(square, (1.0, 1.0, a, b)), fs)
+                for a, b in ((high, low), (low, high)))
+    assert len(reports) == len(fs) and all(report.iterations == 0 for report in reports)
+    assert np.all(np.abs(measured - (w_a + w_b) / 2) <= 1e-14 * np.abs(measured))
