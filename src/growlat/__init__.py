@@ -3,7 +3,6 @@ energy-deformation decomposition of growth, discrete relaxation under
 affine boundary data, and least-squares homogenisation of growth."""
 
 from .springs import (
-    PowerProfile,
     SpringLaw,
     profile_energy,
 )
@@ -48,7 +47,6 @@ from .continuum import (
 from .solver import (
     AffineBoundary,
     ConvergenceError,
-    GrowthProfile,
     SolveReport,
     SolverOptions,
     constant_growth,

@@ -131,9 +131,9 @@ def cauchy_born_hessian(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarra
 # Shears
 
 
-def is_shear(f: np.ndarray, basis, tol: float = GEOMETRIC_TOL) -> bool:
+def is_shear(f: np.ndarray, basis) -> bool:
     """True iff F preserves the norms of all basis vectors but is not a
-    rotation (F'F != I within tol, or det F < 0)."""
+    rotation (F'F != I within GEOMETRIC_TOL, or det F < 0)."""
     f = np.asarray(f, dtype=float)
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -142,10 +142,10 @@ def is_shear(f: np.ndarray, basis, tol: float = GEOMETRIC_TOL) -> bool:
         raise ValueError("basis vectors are linearly dependent")
     norms_before = np.linalg.norm(b, axis=1)
     norms_after = np.linalg.norm(b @ f.T, axis=1)
-    if np.any(np.abs(norms_after - norms_before) > tol):
+    if np.any(np.abs(norms_after - norms_before) > GEOMETRIC_TOL):
         return False
     gram_defect = np.max(np.abs(f.T @ f - np.eye(f.shape[0])))
-    return gram_defect > tol or np.linalg.det(f) < 0
+    return gram_defect > GEOMETRIC_TOL or np.linalg.det(f) < 0
 
 
 def extend_to_basis(vectors, dim: int) -> np.ndarray:
@@ -310,15 +310,15 @@ def decompose(lattice: HomogeneousLattice, partition=None) -> Decomposition:
 # Dilation-only multiplicative decomposition
 
 
-def multiplicative_admissible(parts, factors, tol: float = GEOMETRIC_TOL) -> np.ndarray:
+def multiplicative_admissible(parts, factors) -> np.ndarray:
     """Whether per-direction growth factors of shape (..., n_dirs) admit a
     single growth tensor G with W_g(F) = W_i(F G^{-1}) for all F; shape (...).
 
     They do iff the tensors `growth_tensors(parts, factors)` coincide, to
-    `tol` relative to the largest entry of G_1; on the square lattice that
-    makes G a dilation g I.  The tensors are fixed by the factors only if
-    every class spans R^D, so any other class raises ValueError, as does a
-    factor that is not positive.
+    GEOMETRIC_TOL relative to the largest entry of G_1; on the square
+    lattice that makes G a dilation g I.  The tensors are fixed by the
+    factors only if every class spans R^D, so any other class raises
+    ValueError, as does a factor that is not positive.
     """
     if any(len(p.index) != len(p.basis) for p in parts):
         raise ValueError("admissibility needs every class to span R^D")
@@ -327,7 +327,7 @@ def multiplicative_admissible(parts, factors, tol: float = GEOMETRIC_TOL) -> np.
         raise ValueError("growth factors must be positive")
     tensors = np.stack([g for g, _ in growth_tensors(parts, factors)])  # (K, ..., D, D)
     spread = np.max(np.abs(tensors - tensors[0]), axis=(0, -2, -1))
-    return spread <= tol * np.max(np.abs(tensors[0]), axis=(-2, -1))
+    return spread <= GEOMETRIC_TOL * np.max(np.abs(tensors[0]), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ configuration, so outputs are reproducible bit-for-bit from (config, seed).
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,13 @@ def _conform(value, kind: str):
 class ConfigReader:
     """A command's JSON config object.  `read(key, default, kind)` records the
     key and returns its value, checked against `kind`, or `default`; `block`
-    reads an object as a reader of its own.  `close` rejects every key, here
-    and in the blocks, that no read asked for.  "seed" is read at once, as
-    --seed is global."""
+    reads an object as a reader of its own; `build` makes a value read into
+    a domain object.  `close` rejects every key, here and in the blocks, that
+    no read asked for.  "seed" is read at once, as --seed is global."""
 
     def __init__(self, values: dict, name: str, block: bool = False):
         self.values, self.name, self.is_block, self.keys, self.blocks = values, name, block, set(), []
+        self.where = f" in {name}" if block else ""
         self.seed = None if block else self.read("seed", 0, "int")
 
     def read(self, key: str, default, kind: str):
@@ -65,9 +67,16 @@ class ConfigReader:
         try:
             return _conform(self.values[key], kind) if key in self.values else default
         except TypeError:
-            where = f" in {self.name}" if self.is_block else ""
             must = kind.replace("list of", "non-empty list of")
-            raise ValueError(f"config key {key!r}{where} must be {must}, got {self.values[key]!r}") from None
+            raise ValueError(f"config key {key!r}{self.where} must be {must}, got {self.values[key]!r}") from None
+
+    def build(self, key: str, make, *args, **kwargs):
+        """make(*args, **kwargs), for arguments read from `key`: the domain
+        object checks them, and a ValueError it raises names the key."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}{self.where}: {exc}") from None
 
     def block(self, key: str, default: dict) -> "ConfigReader":
         self.blocks.append(ConfigReader(self.read(key, default, "dict"), key, block=True))
@@ -82,7 +91,7 @@ class ConfigReader:
 
 
 def _law(config: ConfigReader):
-    return lattice.SpringLaw(q=config.read("q", 2, "int"), p=config.read("p", 0.0, "float"))
+    return config.build("q", lattice.SpringLaw, config.read("q", 2, "int"), config.read("p", 0.0, "float"))
 
 
 def configured_lattice(config: dict, command: str) -> lattice.HomogeneousLattice:
@@ -95,7 +104,8 @@ def configured_lattice(config: dict, command: str) -> lattice.HomogeneousLattice
     growth = spec.read("growth", [1.0] * len(directions), "list of float")
     config.close()
     rest = [rest] * len(directions) if isinstance(rest, float) else rest
-    return lattice.HomogeneousLattice(lattice.Connectivity(dims, directions), tuple(rest), tuple(growth), law)
+    co = config.build("lattice", lattice.Connectivity, dims, directions)
+    return config.build("lattice", lattice.HomogeneousLattice, co, tuple(rest), tuple(growth), law)
 
 
 def run_example_error_map(name: str, out_dir, config: dict | None = None) -> dict:
@@ -148,18 +158,19 @@ def _fit_summary(fit):
 def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     """Run one named homogenisation simulation and write its outputs.
 
-    The run reads its whole config first and accepts exactly the keys it
-    reads, at their JSON types; any other key, at any depth, raises
-    ValueError.  The family size "count" is a top-level key, and the
-    "family_overrides" block holds "lam_max" and "lam_shear" of every family.
-
-    Every solve comes next.  The run builds its samples and deformation
-    families, measures every sample under every family, family by family,
-    then runs every fit and writes its outputs last, so a failed solve or
-    fit writes nothing.  sim4 lists its ungrown sample, to which it fits
-    rest lengths, before the grown one.  sim2-sweep is the same run with one
+    The run reads its whole config first, with the spring law, growth
+    scenarios and families its values make.  Every solve comes next: the
+    run measures every sample under every family, family by family, then
+    runs every fit and writes its outputs last, so a failed solve or fit
+    writes nothing.  sim4 lists its ungrown sample, to which it fits rest
+    lengths, before the grown one.  sim2-sweep is the same run with one
     dilational family over one grown sample per (delta_hv, delta_d) pair;
     only its writer differs.
+
+    Every growth fit splits the square lattice into its axis and diagonal
+    classes and fits one factor gamma_1 to the axes; to the diagonals, sim1
+    fits gamma_2_1_1 and gamma_2_1_-1, one per direction, and the others
+    one gamma_2.  sim4's rest fits report ell0, ell1 and L_<direction>.
 
     sim1's targets are an exact identity, not a relaxation: every cell of
     its checkerboard keeps a zero-energy shape, so each solve takes no
@@ -172,46 +183,52 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     out = Path(out_dir)
     sweep = name == "sim2-sweep"
 
-    # read: the whole config and the growth scenarios, before any sample is built
+    # read: the whole config, with the growth scenarios and families it makes, before any sample is built
     config = ConfigReader(config or {}, name)
-    law = lattice.SpringLaw(q=config.read("q", 2, "int"))  # p = 0, as every simulation decomposes
+    law = config.build("q", lattice.SpringLaw, config.read("q", 2, "int"))  # p = 0, as every simulation decomposes
     n, seed = config.read("n", 16, "int"), config.seed
     resolved = {"simulation": name, "n": n, "q": law.q, "p": law.p, "seed": seed}
+    kinds = ["dilational"] if sweep else config.read("families", ["dilational", "shear"], "list of str")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"config key 'families' names a family twice: {kinds}")
+    families = [config.build("families", homogenize.DeformationFamily, kind) for kind in kinds]
     family = {"count": config.read("count", 21 if sweep else 60, "int")}  # the settings of every family
     if sweep:  # one dilational family on the default ranges; pairs is a list, so a repeated pair writes a repeated row
         resolved.update({key: config.read(key, [0.0, 0.2, 0.4], "list of float") for key in ("deltas_hv", "deltas_d")})
+        # per delta d, the growth of two axis or two diagonal directions, each drawn from (1 - d, 1 + d)
+        halves = {key: [config.build(key, lattice.uniform_growth, [(1.0 - d, 1.0 + d)] * 2) for d in resolved[key]]
+                  for key in ("deltas_hv", "deltas_d")}
         pairs = [(dhv, dd) for dhv in resolved["deltas_hv"] for dd in resolved["deltas_d"]]
-        scenarios = [lattice.uniform_growth([(1.0 - dhv, 1.0 + dhv)] * 2 + [(1.0 - dd, 1.0 + dd)] * 2, seed=seed)
-                     for dhv, dd in pairs]
-        kinds = ["dilational"]
+        scenarios = [lattice.uniform_growth(hv.intervals + dd.intervals, seed=seed)
+                     for hv in halves["deltas_hv"] for dd in halves["deltas_d"]]
     else:
-        kinds = config.read("families", ["dilational", "shear"], "list of str")
-        if len(set(kinds)) < len(kinds):
-            raise ValueError(f"config key 'families' names a family twice: {kinds}")
         overrides = config.block("family_overrides", {})
         family["lam_max"] = overrides.read("lam_max", 1.25 if name == "sim1" else 1.5, "float")
         family["lam_shear"] = overrides.read("lam_shear", 0.25 if name == "sim1" else 0.5, "float")
         if name == "sim1":
             resolved["high"] = config.read("high", 1.2, "float")
-            scenarios = [lattice.checkerboard_growth(resolved["high"], seed=seed)]
+            scenarios = [config.build("high", lattice.checkerboard_growth, resolved["high"], seed)]
         else:
-            resolved["growth_interval"] = config.read("growth_interval", [0.8, 1.2], "list of float")
-            if len(resolved["growth_interval"]) != 2:
-                raise ValueError(f"config key 'growth_interval' must be [low, high], got {resolved['growth_interval']}")
-            scenarios = [lattice.uniform_growth([resolved["growth_interval"]] * 4, seed=seed)]
+            interval = resolved["growth_interval"] = config.read("growth_interval", [0.8, 1.2], "list of float")
+            if len(interval) != 2:
+                raise ValueError(f"config key 'growth_interval' must be [low, high], got {interval}")
+            scenarios = [config.build("growth_interval", lattice.uniform_growth, [interval] * 4, seed)]
+    for key, value in family.items():  # one setting at a time, so a rejected value is the one just set
+        reader = config if key == "count" else overrides
+        families = [reader.build(key, replace, f, **{key: value}) for f in families]
     config.close()
 
     # build: the samples, then every family
     co, rest = lattice.square_connectivity(), _REST[name]
     ungrown = [lattice.no_growth(co, seed=seed)] if name == "sim4" else []
     samples = [lattice.build_sample(co, n, rest, scenario, law) for scenario in ungrown + scenarios]
-    sampled = [homogenize.sample_family(homogenize.DeformationFamily(kind, **family)) for kind in kinds]
+    sampled = [homogenize.sample_family(f) for f in families]
 
     # measure: every solve of the run, before any fit
     targets = [[homogenize.measured_energies(sample, fs) for sample in samples] for _, fs in sampled]
 
     # fit: rest lengths to sim4's ungrown sample, growth tensors to every grown sample
-    ansatz = homogenize.GrowthAnsatz("isotropic", "rotated-diagonal" if name == "sim1" else "isotropic")
+    ansatz = homogenize.GrowthAnsatz("isotropic", "per-direction" if name == "sim1" else "isotropic")
     rest_fits, growth_fits = [], []
     for (_, fs), family_targets in zip(sampled, targets):
         if ungrown:
@@ -259,9 +276,10 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
     spec = config.block("profile", {"kind": "linear", "a": 1.0, "b": 1.0})
     kind = spec.read("kind", "linear", "str")
     if kind == "constant":
-        profile = solver.constant_growth(spec.read("value", 1.0, "float"))
+        profile = config.build("profile", solver.constant_growth, spec.read("value", 1.0, "float"))
     elif kind == "linear":
-        profile = solver.linear_growth(spec.read("a", 1.0, "float"), spec.read("b", 0.0, "float"))
+        profile = config.build("profile", solver.linear_growth, spec.read("a", 1.0, "float"),
+                               spec.read("b", 0.0, "float"))
     else:
         raise ValueError(f"unknown profile kind {kind!r}; it must be 'linear' or 'constant'")
     rest = config.read("rest", 1.0, "float")
@@ -281,11 +299,9 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
         for n in ns:
             chains.append(solver.one_d_chain_energy(profile, n, rest, law, f))
             errors.append(abs(chains[-1] - continuum_value))
-        # observed convergence order from the last grid doubling
-        if len(ns) >= 2 and errors[-1] > 0:
-            rate = math.log(errors[-2] / errors[-1]) / math.log(ns[-1] / ns[-2])
-        else:
-            rate = float("inf")
+        # observed order from the last two sizes: inf, written as null, for one size or an error of 0
+        exact = len(ns) < 2 or min(errors[-2:]) == 0
+        rate = math.inf if exact else math.log(errors[-2] / errors[-1]) / math.log(ns[-1] / ns[-2])
         results.append({"f": f, "continuum": continuum_value, "errors": errors, "rate": rate})
     write_csv(out / "oned_convergence.csv", ["f", "n", "chain_energy", "continuum_energy", "abs_error"],
               [[r["f"] for r in results for _ in ns], ns * len(results), chains,

@@ -25,7 +25,7 @@ from .lattice import Connectivity, FiniteLatticeSample, HomogeneousLattice
 from .solver import AffineBoundary, ConvergenceError, SolverOptions, relax_branch
 # `bench/spans.py` wraps this name; ROADMAP item 4's benchmark change deletes it.
 from .solver import minimize  # noqa: F401
-from .springs import SpringLaw, profile_deriv, profile_energy
+from .springs import SpringLaw, profile_energy
 
 _FAMILY_KINDS = ("horizontal", "vertical", "dilational", "shear", "box-grid")
 
@@ -116,15 +116,12 @@ _BOUNDS = (0.5, 1.5)
 class GrowthAnsatz:
     """Parameter forms for the two growth tensors of a 2-part decomposition.
 
-    A form ties the growth factors of its class's directions to parameters:
-    "isotropic" (one gamma for the whole class, any class), "diagonal" (one
-    parameter per axis direction, class of axis directions),
-    "rotated-diagonal" (one per diagonal, class {(1,1), (1,-1)}).  The
-    tensors themselves come from `growth_tensors`, so for a class of two planar
-    directions these are gamma * I, diag(a, b) and a tensor with
-    eigenvectors along the diagonals.  Every parameter is fitted within
-    `_BOUNDS`; the fit starts from each of the 2**P corners of the box at the
-    quarter marks of `_BOUNDS` and keeps the start that ends lowest.
+    On any class, "isotropic" fits one factor gamma_<k> to part k and
+    "per-direction" one factor gamma_<k>_<v> to each direction v, named as
+    L_<v> names rest lengths.  The tensors come from `growth_tensors`: gamma I,
+    or C diag(gamma_v) C^{-1} for the class basis C.  Every parameter is
+    fitted within `_BOUNDS`, from each of the 2**P corners of the box at the
+    quarter marks of `_BOUNDS`, keeping the start that ends lowest.
     """
 
     g1_form: str = "isotropic"
@@ -132,7 +129,7 @@ class GrowthAnsatz:
 
     def __post_init__(self):
         for form in (self.g1_form, self.g2_form):
-            if form not in ("isotropic", "diagonal", "rotated-diagonal"):
+            if form not in ("isotropic", "per-direction"):
                 raise ValueError(f"unknown ansatz form {form!r}")
 
 
@@ -178,7 +175,7 @@ def _relative_residuals(lengths, t, divisors, param_of_dir, n_params, law):
 
     def jacobian(x):
         s = base / x[param_of_dir]
-        return (profile_deriv(law, s) * s / t[:, None]) @ owner / x
+        return (law.deriv(s) * s / t[:, None]) @ owner / x
 
     return residuals, jacobian
 
@@ -214,6 +211,10 @@ def _fit(lengths, targets, divisors, param_of_dir, names, law) -> FitResult:
     )
 
 
+def _label(v) -> str:  # a direction in a parameter name: (1, -1) -> "1_-1"
+    return "_".join(map(str, v))
+
+
 def fit_rest_lengths(
     fs: np.ndarray,
     targets: np.ndarray,
@@ -234,7 +235,7 @@ def fit_rest_lengths(
     names = [f"ell{k}" for k in range(len(unique))]
     fit = _fit(mapped_lengths(connectivity.matrix, fs), targets, dir_norms, param_of_dir, names, law)
     fit.parameters.update({
-        f"L_{'_'.join(str(c) for c in v)}": float(fit.parameters[names[param_of_dir[k]]] * dir_norms[k])
+        f"L_{_label(v)}": float(fit.parameters[names[param_of_dir[k]]] * dir_norms[k])
         for k, v in enumerate(connectivity.directions)
     })
     return fit
@@ -242,49 +243,24 @@ def fit_rest_lengths(
 
 def fitted_representative(fit: FitResult, connectivity: Connectivity, law: SpringLaw) -> HomogeneousLattice:
     """Homogeneous lattice carrying the fitted rest lengths."""
-    rest = tuple(fit.parameters[f"L_{'_'.join(str(c) for c in v)}"] for v in connectivity.directions)
+    rest = tuple(fit.parameters[f"L_{_label(v)}"] for v in connectivity.directions)
     return HomogeneousLattice(connectivity, rest, (), law)
 
 
-_AXIS_DIRS = {(1, 0), (0, 1)}
-_DIAG_DIRS = {(1, 1), (1, -1)}
-
-
 def _ansatz_params(dec: Decomposition, ansatz: GrowthAnsatz):
-    """Parameter names and the per-direction parameter index for the ansatz.
-
-    Each form must diagonalise over its class directions so the model
-    energy stays a per-direction rescaling (isotropic always does; diagonal
-    needs axis directions; rotated-diagonal needs the two diagonals).
-    """
+    """Parameter names and the per-direction parameter index for the ansatz."""
     if len(dec.parts) != 2:
         raise ValueError("growth fitting expects a 2-part decomposition")
     dirs = dec.lattice.connectivity.directions
-    param_of_dir = np.full(len(dirs), -1, dtype=int)
+    param_of_dir = np.empty(len(dirs), dtype=int)
     names: list[str] = []
     for k, form in enumerate((ansatz.g1_form, ansatz.g2_form)):
-        cls = dec.parts[k].directions
-        if form == "isotropic":
-            idx = len(names)
-            names.append(f"gamma_{k + 1}")
-            for v in cls:
-                param_of_dir[dirs.index(v)] = idx
-        elif form == "diagonal":
-            if not set(cls) <= _AXIS_DIRS:
-                raise ValueError("diagonal form needs a class of axis directions")
-            ia = len(names)
-            names.extend([f"gamma_{k + 1}a", f"gamma_{k + 1}b"])
-            for v in cls:
-                param_of_dir[dirs.index(v)] = ia if v == (1, 0) else ia + 1
-        else:  # rotated-diagonal
-            if not set(cls) <= _DIAG_DIRS:
-                raise ValueError("rotated-diagonal form needs the diagonal direction class")
-            ip = len(names)
-            names.extend(["gamma_plus", "gamma_minus"])
-            for v in cls:
-                param_of_dir[dirs.index(v)] = ip if v == (1, 1) else ip + 1
-    if np.any(param_of_dir < 0):
-        raise ValueError("ansatz does not cover every direction")
+        for i, v in enumerate(dec.parts[k].directions):
+            if form == "per-direction":
+                names.append(f"gamma_{k + 1}_{_label(v)}")
+            elif i == 0:  # "isotropic": the class's first direction names its one factor
+                names.append(f"gamma_{k + 1}")
+            param_of_dir[dirs.index(v)] = len(names) - 1
     return names, param_of_dir
 
 

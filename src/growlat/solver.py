@@ -28,7 +28,6 @@ only while it is stable, and stops where it ends.
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -253,48 +252,48 @@ minimize = relax_branch
 
 
 @dataclass(frozen=True)
-class GrowthProfile:
-    """Cumulative growth g on [0, 1] together with its rate G = g'.
+class LinearGrowth:
+    """Growth rate G(x) = a + b x on [0, 1] and its cumulative growth
+    g(x) = a x + b x**2 / 2.  The chain discretisation uses increments of
+    `cumulative`; the continuum energy integrates `rate`.  The rate must be
+    positive at both ends, and so on all of [0, 1] (g increasing)."""
 
-    The chain discretisation uses increments of `cumulative`; the continuum
-    energy integrates `rate`.  `rate` must be positive (g increasing).
-    """
+    a: float
+    b: float
 
-    cumulative: Callable
-    rate: Callable
-
-    def check(self, n_probe: int = 257):
-        xs = np.linspace(0.0, 1.0, n_probe)
-        if np.any(np.asarray(self.rate(xs)) <= 0):
+    def __post_init__(self):
+        if not (self.a > 0 and self.a + self.b > 0):
             raise ValueError("growth profile must be increasing (positive rate)")
 
+    def cumulative(self, x):
+        return self.a * np.asarray(x, float) + 0.5 * self.b * np.asarray(x, float) ** 2
 
-def linear_growth(a: float, b: float) -> GrowthProfile:
+    def rate(self, x):
+        return self.a + self.b * np.asarray(x, float)
+
+
+def linear_growth(a: float, b: float) -> LinearGrowth:
     """Profile with rate G(x) = a + b x."""
-    return GrowthProfile(
-        cumulative=lambda x: a * np.asarray(x, float) + 0.5 * b * np.asarray(x, float) ** 2,
-        rate=lambda x: a + b * np.asarray(x, float),
-    )
+    return LinearGrowth(a, b)
 
 
-def constant_growth(c: float) -> GrowthProfile:
+def constant_growth(c: float) -> LinearGrowth:
     return linear_growth(c, 0.0)
 
 
-def one_d_chain(profile: GrowthProfile, n: int, rest: float, law: SpringLaw) -> FiniteLatticeSample:
+def one_d_chain(profile: LinearGrowth, n: int, rest: float, law: SpringLaw) -> FiniteLatticeSample:
     """Chain of n springs with rest length `rest`, spring j grown by the
-    mean rate of the profile over its subinterval."""
-    profile.check()
+    mean of the growth rate a + b x over its subinterval [(j - 1) / n, j / n]."""
     sample = build_sample(chain_connectivity(), n, rest, law=law)
     j = np.arange(1, n + 1, dtype=float)
-    increments = n * (np.asarray(profile.cumulative(j / n)) - np.asarray(profile.cumulative((j - 1) / n)))
+    increments = n * (profile.cumulative(j / n) - profile.cumulative((j - 1) / n))
     if np.any(increments <= 0):
         raise ValueError("growth profile must be increasing")
     # edges are enumerated in node order for the single chain direction
     return dataclasses.replace(sample, growth=increments)
 
 
-def one_d_chain_energy(profile: GrowthProfile, n: int, rest: float, law: SpringLaw, f: float) -> float:
+def one_d_chain_energy(profile: LinearGrowth, n: int, rest: float, law: SpringLaw, f: float) -> float:
     """Per-cell energy of the relaxed grown chain stretched to mean F."""
     sample = one_d_chain(profile, n, rest, law)
     report = relax_branch(sample, AffineBoundary(np.array([[float(f)]])))
@@ -303,19 +302,17 @@ def one_d_chain_energy(profile: GrowthProfile, n: int, rest: float, law: SpringL
     return report.per_cell_energy
 
 
-def one_d_continuum_energy(profile: GrowthProfile, law: SpringLaw, rest: float, f: float) -> float:
+def one_d_continuum_energy(profile: LinearGrowth, law: SpringLaw, rest: float, f: float) -> float:
     """Continuum energy min over u of the integral of G**p W(Du / (L G))
-    with u(0) = 0, u(1) = F, solved through the stationarity condition:
-    the weighted stress G**p W'(Du/(LG)) / (LG) is constant in x."""
+    with u(0) = 0, u(1) = F and G the growth rate a + b x, solved through the
+    stationarity condition: the weighted stress G**p W'(Du/(LG)) / (LG) is
+    constant in x, which the power law W = |x - 1|**q inverts in closed form."""
     from scipy.integrate import quad
     from scipy.optimize import brentq
 
-    profile.check()
     if f <= 0:
         raise ValueError("mean stretch F must be positive")
     q, p, big_l = law.q, law.p, float(rest)
-    if law.profile is not None:
-        raise ValueError("continuum closed form requires the power-law profile")
 
     def stretch(x, sigma):
         g = profile.rate(x)

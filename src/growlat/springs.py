@@ -6,9 +6,9 @@ is positively p-homogeneous in (l, e):
 
     energy(l, e) = l**p * W(e / l)
 
-where W is a convex stretch profile with W(1) = 0 and W'(1) = 0.
-p = 0 models recombination (constant-mass rearrangement, "remodelling");
-p = 1 models replication (mass-adding growth).
+where W(x) = |x - 1|**q, with integer q >= 2, is the convex stretch profile
+with W(1) = 0 and W'(1) = 0.  p = 0 models recombination (constant-mass
+rearrangement, "remodelling"); p = 1 models replication (mass-adding growth).
 """
 
 from dataclasses import dataclass
@@ -17,18 +17,18 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class PowerProfile:
-    """Convex stretch profile |x - 1|**q with integer exponent q >= 2.
-
-    The absolute value keeps the rest stretch x = 1 a global minimum for
-    odd q as well; for even q it coincides with (x - 1)**q.
-    """
+class SpringLaw:
+    """Scalar energy law of a growable spring: the stretch profile
+    W(x) = |x - 1|**q, whose absolute value keeps x = 1 a global minimum for
+    odd q as well, and the homogeneity degree p.  `value`, `deriv` and
+    `second` are W, W' and W''."""
 
     q: int = 2
+    p: float = 0.0
 
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 2:
-            raise ValueError(f"profile exponent must be an integer >= 2, got {self.q}")
+            raise ValueError(f"power-law exponent must be an integer >= 2, got {self.q}")
 
     def value(self, x):
         return np.abs(np.asarray(x, dtype=float) - 1.0) ** self.q
@@ -42,40 +42,12 @@ class PowerProfile:
         return self.q * (self.q - 1) * np.abs(t) ** (self.q - 2)
 
 
-@dataclass(frozen=True)
-class SpringLaw:
-    """Scalar energy law of a growable spring.
-
-    q selects the power-law profile |x - 1|**q; p is the homogeneity
-    degree of the two-argument energy (0 = recombination, 1 = replication).
-    Any object with value/deriv/second methods may be supplied as a custom
-    convex profile, in which case q is ignored.
-    """
-
-    q: int = 2
-    p: float = 0.0
-    profile: object | None = None
-
-    def __post_init__(self):
-        if self.profile is None and (int(self.q) != self.q or self.q < 2):
-            raise ValueError(f"power-law exponent must be an integer >= 2, got {self.q}")
-
-    @property
-    def stretch_profile(self):
-        return self.profile if self.profile is not None else PowerProfile(self.q)
-
-
 def profile_energy(law: SpringLaw, x):
     """Energy W(x) of a unit spring at stretch ratio x >= 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("stretch ratio must be non-negative")
-    return law.stretch_profile.value(x)
-
-
-def profile_deriv(law: SpringLaw, x):
-    """Derivative W'(x) of the stretch profile."""
-    return law.stretch_profile.deriv(np.asarray(x, dtype=float))
+    return law.value(x)
 
 
 def spring_terms(law: SpringLaw, r, scale, weight, order: int = 0):
@@ -85,16 +57,16 @@ def spring_terms(law: SpringLaw, r, scale, weight, order: int = 0):
 
     With scale = L g (the grown rest length) and weight = g**p these are the
     energy g**p W(r / (L g)) of a grown spring and its first and second
-    derivatives in r.  W^(k) comes from `law.stretch_profile`, so custom
-    profiles work wherever the kernel is used.  Returns [terms].
+    derivatives in r, with W^(k) from the law's `value`, `deriv` and
+    `second`.  The discrete solver and the Cauchy-Born density both call
+    it.  Returns [terms].
     """
     x = r / scale
-    profile = law.stretch_profile
-    terms = [weight * profile.value(x)]
+    terms = [weight * law.value(x)]
     if order >= 1:
-        terms.append(weight * profile.deriv(x) / scale)
+        terms.append(weight * law.deriv(x) / scale)
     if order >= 2:
-        terms.append(weight * profile.second(x) / scale**2)
+        terms.append(weight * law.second(x) / scale**2)
     return terms
 
 

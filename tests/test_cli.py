@@ -99,15 +99,29 @@ def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-def test_oned_on_one_size_writes_a_null_rate(tmp_path):
-    # one size gives no observed rate; it used to be written as the invalid JSON "Infinity"
+def oned_rate(tmp_path, values):
+    """The rate that oned prints and writes for a config; it must exit 0."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"ns": [16]}))
+    config.write_text(json.dumps(values))
     result = run_cli(tmp_path, "--config", str(config), "oned")
     assert result.returncode == 0, result.stderr
-    assert "observed rate~inf" in result.stdout
     summary = json.loads((tmp_path / "oned_summary.json").read_text(), parse_constant=reject_constant)
-    assert summary["results"][0]["rate"] is None
+    return result.stdout, summary["results"][0]["rate"]
+
+
+def test_oned_on_one_size_writes_a_null_rate(tmp_path):
+    # one size gives no observed rate; it used to be written as the invalid JSON "Infinity"
+    stdout, rate = oned_rate(tmp_path, {"ns": [16]})
+    assert "observed rate~inf" in stdout
+    assert rate is None
+
+
+def test_oned_on_an_exact_chain_writes_a_null_rate(tmp_path):
+    # the chain is exact at N = 8 (error 0) and off by 1.4e-17 at N = 16; log(0) used to stop the run
+    exact = {"profile": {"kind": "constant", "value": 1.0}, "f_values": [0.7], "ns": [8, 16]}
+    stdout, rate = oned_rate(tmp_path, exact)
+    assert "observed rate~inf" in stdout
+    assert rate is None
 
 
 def test_oned_writes_n_as_integers(tmp_path):
@@ -330,14 +344,36 @@ def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, comma
         (["simulate", "sim2"], {"growth_interval": []}, "config key 'growth_interval' must be non-empty list"),
         (["oned"], {"rest": 0}, "config key 'rest' must be positive"),
         (["oned"], {"rest": -1.0}, "config key 'rest' must be positive"),
+        (["simulate", "sim2"], {"growth_interval": [1.2, 0.8]},
+         "config key 'growth_interval': invalid growth interval (1.2, 0.8)"),
+        (["simulate", "sim2"], {"families": ["dilatational"]},
+         "config key 'families': unknown family kind 'dilatational'"),
+        (["simulate", "sim2"], {"count": 1}, "config key 'count': sample count must be at least 2"),
+        (["simulate", "sim2"], {"q": 1}, "config key 'q': power-law exponent must be an integer >= 2"),
+        (["simulate", "sim2"], {"family_overrides": {"lam_max": 0.9}},
+         "config key 'lam_max' in family_overrides: lam_max must exceed 1"),
+        (["simulate", "sim1"], {"high": 1.5}, "config key 'high': checkerboard high value h must satisfy"),
+        (["simulate", "sim2-sweep"], {"deltas_hv": [1.5]},
+         "config key 'deltas_hv': invalid growth interval (-0.5, 2.5)"),
+        (["simulate", "sim2-sweep"], {"deltas_d": [0.2, -0.1]},
+         "config key 'deltas_d': invalid growth interval (1.1, 0.9)"),
+        (["oned"], {"profile": {"kind": "linear", "a": 1.0, "b": -2.0}},
+         "config key 'profile': growth profile must be increasing (positive rate)"),
+        (["oned"], {"q": 1}, "config key 'q': power-law exponent must be an integer >= 2"),
+        (["order"], {"lattice": {"rest": [1.0, 1.0, 1.0]}}, "config key 'lattice': expected 4 rest lengths, got 3"),
+        (["decompose"], {"lattice": {"directions": [[1, 0], [-1, 0]]}},
+         "config key 'lattice': directions (-1, 0) and (1, 0) are opposite"),
     ],
     ids=["families-empty", "f_values-empty", "deltas_hv-empty", "deltas_d-empty", "families-repeated",
-         "growth_interval-three", "growth_interval-empty", "rest-zero", "rest-negative"],
+         "growth_interval-three", "growth_interval-empty", "rest-zero", "rest-negative", "growth_interval-reversed",
+         "families-unknown", "count-one", "q-one", "lam_max-below-one", "high", "deltas_hv-above-one",
+         "deltas_d-negative", "profile-decreasing", "oned-q-one", "lattice-rest-count", "lattice-opposite"],
 )
 def test_an_empty_list_a_repeated_family_or_a_bad_value_exits_2_naming_its_key(tmp_path, command, config, message):
     # the empty lists and the repeated family used to run and exit 0, the second fit of a repeated
     # family overwriting the first; the intervals stopped on an unpack error naming no key, and a
-    # rest length that is not positive on "failed to bracket the stress"
+    # rest length that is not positive on "failed to bracket the stress"; a value that a domain
+    # object rejects (a growth scenario, a family, the spring law, the growth rate) used to name no key
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 4, "count": 3, **config} if command[0] == "simulate" else config))
     result = run_cli(tmp_path, "--config", str(path), *command)

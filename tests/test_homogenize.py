@@ -14,7 +14,7 @@ from growlat.homogenize import (
 )
 
 SQRT2 = math.sqrt(2.0)
-SIM1_ANSATZ = GrowthAnsatz("isotropic", "rotated-diagonal")
+SIM1_ANSATZ = GrowthAnsatz("isotropic", "per-direction")
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,10 @@ def test_fit_growth_recovers_full_rank_parameters():
     truth = (1.1, 0.9, 1.2)
     fs = one_sided_shears()
     result = fit_growth(sim1_decomposition(law), fs, grown_targets(law, truth, fs), SIM1_ANSATZ)
-    got = [result.parameters[k] for k in ("gamma_1", "gamma_plus", "gamma_minus")]
+    got = [result.parameters[k] for k in ("gamma_1", "gamma_2_1_1", "gamma_2_1_-1")]
     assert np.allclose(got, truth, rtol=0.0, atol=1e-8)
-    # the reported tensors are the ansatz's closed forms gamma_1 I and R diag(gamma+, gamma-) R^T
+    # the reported tensors are gamma_1 I and R diag(gamma+, gamma-) R^T, for the factors gamma+ and
+    # gamma- of the diagonals (1, 1) and (1, -1)
     g1, gp, gm = got
     r = continuum.rotation(math.pi / 4)
     assert np.allclose(result.growth_tensors["G_1"], g1 * np.eye(2), rtol=0.0, atol=1e-15)
@@ -72,13 +73,14 @@ def test_fit_growth_recovers_full_rank_parameters():
 
 
 def test_diagonal_ansatz_recovers_planted_axis_factors():
-    # G_1 = diag(a, b) on the axis class, G_2 = gamma_2 I on the diagonals
+    # the per-direction form on the axis class gives G_1 = diag(a, b); G_2 = gamma_2 I on the diagonals
     law = lattice.SpringLaw(q=3)
     _, fs = sample_family(DeformationFamily("box-grid", lam_max=1.25, lam_shear=0.25, count=3))
     grown = lattice.apply_growth(lattice.square_lattice(law=law), (1.1, 0.9, 1.05, 1.05))
     result = fit_growth(sim1_decomposition(law), fs, continuum.cauchy_born_energy_many(grown, fs),
-                        GrowthAnsatz("diagonal", "isotropic"))
-    got = [result.parameters[k] for k in ("gamma_1a", "gamma_1b", "gamma_2")]
+                        GrowthAnsatz("per-direction", "isotropic"))
+    assert list(result.parameters) == ["gamma_1_1_0", "gamma_1_0_1", "gamma_2"]
+    got = list(result.parameters.values())
     assert np.allclose(got, (1.1, 0.9, 1.05), rtol=0.0, atol=1e-8)
     assert np.allclose(result.growth_tensors["G_1"], np.diag(got[:2]), rtol=0.0, atol=1e-15)
     assert np.allclose(result.growth_tensors["G_2"], got[2] * np.eye(2), rtol=0.0, atol=1e-15)
@@ -87,10 +89,44 @@ def test_diagonal_ansatz_recovers_planted_axis_factors():
 
 
 def test_diagonal_form_on_the_diagonal_class_is_rejected():
+    # no form is tied to the square's axis or diagonal class; "per-direction" fits every class
+    for form in ("diagonal", "rotated-diagonal"):
+        with pytest.raises(ValueError, match=f"unknown ansatz form '{form}'"):
+            GrowthAnsatz("isotropic", form)
+
+
+BOX_GRID = sample_family(DeformationFamily("box-grid", lam_max=1.3, lam_shear=0.3, count=4))[1]
+
+
+@pytest.mark.parametrize("choice", [0, 1, 2])
+def test_per_direction_forms_recover_every_factor_on_every_square_partition(choice):
+    # choices 1 and 2 put an axis and a diagonal in each class
+    law, planted = lattice.SpringLaw(q=3), (1.1, 0.9, 1.05, 0.95)
+    square = lattice.square_lattice(law=law)
+    partition = continuum.square_partition_choices()[choice]
+    targets = continuum.cauchy_born_energy_many(lattice.apply_growth(square, planted), BOX_GRID)
+    result = fit_growth(continuum.decompose(square, partition), BOX_GRID, targets,
+                        GrowthAnsatz("per-direction", "per-direction"))
+    truth = dict(zip(square.connectivity.directions, planted))
+    want = {f"gamma_{k + 1}_{v[0]}_{v[1]}": truth[v] for k, cls in enumerate(partition) for v in cls}
+    assert list(result.parameters) == list(want)
+    assert np.allclose(list(result.parameters.values()), list(want.values()), rtol=0.0, atol=1e-8)
+    assert result.rank == 4
+    grown = continuum.decompose(lattice.apply_growth(square, planted), partition)
+    for k, part in enumerate(grown.parts):
+        assert np.allclose(result.growth_tensors[f"G_{k + 1}"], part.growth, rtol=0.0, atol=1e-8)
+
+
+def test_per_direction_form_fits_a_lattice_of_three_directions():
+    # directions (1, 0), (0, 1), (1, -1): the witness partition is the axis pair and the lone diagonal
     law = lattice.SpringLaw(q=3)
-    fs = one_sided_shears()
-    with pytest.raises(ValueError, match="diagonal form needs a class of axis directions"):
-        fit_growth(sim1_decomposition(law), fs, np.ones(len(fs)), GrowthAnsatz("isotropic", "diagonal"))
+    initial = lattice.HomogeneousLattice(lattice.Connectivity(2, ((1, 0), (0, 1), (1, -1))), (1.0, 1.0, SQRT2), (), law)
+    targets = continuum.cauchy_born_energy_many(lattice.apply_growth(initial, (1.1, 0.9, 1.2)), BOX_GRID)
+    result = fit_growth(continuum.decompose(initial), BOX_GRID, targets, GrowthAnsatz("per-direction", "isotropic"))
+    assert list(result.parameters) == ["gamma_1_1_0", "gamma_1_0_1", "gamma_2"]
+    assert np.allclose(list(result.parameters.values()), (1.1, 0.9, 1.2), rtol=0.0, atol=1e-8)
+    assert result.rank == 3
+    assert result.relative_mse <= 1e-20
 
 
 def test_zero_targets_are_excluded_with_nan_errors():

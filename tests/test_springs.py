@@ -32,7 +32,7 @@ def test_invalid_exponent():
     with pytest.raises(ValueError):
         springs.SpringLaw(q=1)
     with pytest.raises(ValueError):
-        springs.PowerProfile(q=0)
+        springs.SpringLaw(q=0)
 
 
 def spring_energy(law, rest, current):
@@ -63,9 +63,8 @@ def homogeneity_bound(law, eta, rest, current, rhs):
     eps, which 1e-12 |rhs| covers."""
     x = current / rest
     dx = 6 * np.finfo(float).eps * x
-    profile = law.stretch_profile
-    curvature = np.max(profile.second(np.array([x - dx, x + dx])))
-    change = abs(profile.deriv(x)) * dx + 0.5 * curvature * dx**2
+    curvature = np.max(law.second(np.array([x - dx, x + dx])))
+    change = abs(law.deriv(x)) * dx + 0.5 * curvature * dx**2
     return eta**law.p * rest**law.p * change + 1e-12 * abs(rhs)
 
 
@@ -136,19 +135,5 @@ def test_profile_first_derivative_vanishes_at_rest():
     h = 1e-6
     fd = (springs.profile_energy(law, 1 + h) - springs.profile_energy(law, 1 - h)) / (2 * h)
     assert abs(fd) < 1e-9
-    assert springs.profile_deriv(law, 1.0) == 0.0
+    assert law.deriv(1.0) == 0.0
 
-
-def test_custom_profile_extension_point():
-    class Quartic:
-        def value(self, x):
-            return (np.asarray(x) - 1.0) ** 4
-
-        def deriv(self, x):
-            return 4.0 * (np.asarray(x) - 1.0) ** 3
-
-        def second(self, x):
-            return 12.0 * (np.asarray(x) - 1.0) ** 2
-
-    law = springs.SpringLaw(profile=Quartic())
-    assert springs.profile_energy(law, 1.5) == pytest.approx(0.0625, rel=1e-12)
