@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import HomogeneousLattice, lattice_order
-from .springs import per_length, spring_hessian_block, spring_terms
+from .springs import per_length, root_sum_squares, spring_hessian_block, spring_terms, sum_slices
 
 GEOMETRIC_TOL = 1e-10
 
@@ -68,27 +68,12 @@ def mapped_directions(directions, fs: np.ndarray) -> np.ndarray:
 
 def mapped_lengths(directions, fs: np.ndarray) -> np.ndarray:
     """Lengths ||F v|| of the mapped directions; shape (..., n_dirs): the
-    root of the squares of `mapped_directions`' one GEMM, squared in place
-    and summed over the D components of its (..., D, n_dirs) layout in
-    index order, as `np.linalg.norm` sums its D < 8 terms, so the lengths
-    are the same to the bit."""
+    squares of `mapped_directions`' one GEMM, taken in place in its
+    (..., D, n_dirs) layout, summed and rooted by `springs.root_sum_squares`,
+    so the lengths are `np.linalg.norm`'s to the bit."""
     squares = np.swapaxes(mapped_directions(directions, fs), -1, -2)
     squares *= squares
-    total = _sum_slices(squares, -2)
-    return np.sqrt(total, out=total)
-
-
-def _sum_slices(a: np.ndarray, axis: int):
-    """np.sum(a, axis) as a loop over whole slices in index order: on a
-    large stack with a short axis, numpy's reduction loop runs once per
-    output element and costs several times as much.  numpy adds fewer than
-    8 terms in index order too, so there the sum is the same to the bit;
-    from 8 terms on numpy sums pairwise and the two agree to rounding."""
-    a = np.moveaxis(a, axis, 0)
-    total = a[0].copy()
-    for term in a[1:]:
-        total += term
-    return total[()]  # a numpy scalar, as from np.sum, for one F
+    return root_sum_squares(squares, -2)
 
 
 def _cauchy_born_terms(lattice: HomogeneousLattice, lengths: np.ndarray, order: int):
@@ -105,13 +90,13 @@ def cauchy_born_energy(lattice: HomogeneousLattice, f: np.ndarray) -> float:
 def cauchy_born_energy_many(lattice: HomogeneousLattice, fs: np.ndarray) -> np.ndarray:
     """Vectorised Cauchy-Born energy over a stack of deformation gradients."""
     (terms,) = _cauchy_born_terms(lattice, mapped_lengths(lattice.connectivity.matrix, fs), 0)
-    return _sum_slices(terms, -1)
+    return sum_slices(terms, -1)[()]  # a numpy scalar, as from np.sum, for one F
 
 
 def cauchy_born_gradient(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarray:
     """d/dF of the Cauchy-Born energy; same shape as F."""
     mapped = mapped_directions(lattice.connectivity.matrix, f)
-    norms = np.linalg.norm(mapped, axis=-1)
+    norms = root_sum_squares(mapped * mapped, -1)
     _, slope = _cauchy_born_terms(lattice, norms, 1)
     return np.einsum("a,ai,aj->ij", per_length(slope, norms), mapped, lattice.connectivity.matrix)
 
@@ -121,7 +106,7 @@ def cauchy_born_hessian(lattice: HomogeneousLattice, f: np.ndarray) -> np.ndarra
     with B the discrete solver's `springs.spring_hessian_block`."""
     directions = lattice.connectivity.matrix
     mapped = mapped_directions(directions, f)
-    norms = np.linalg.norm(mapped, axis=-1)
+    norms = root_sum_squares(mapped * mapped, -1)
     _, slope, curvature = _cauchy_born_terms(lattice, norms, 2)
     block = spring_hessian_block(mapped, norms, slope, curvature)
     return np.einsum("aik,aj,al->ijkl", block, directions, directions)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import continuum, homogenize, lattice, solver
 from .serialize import write_csv, write_json
+from .springs import spring_terms, sum_slices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -187,6 +188,8 @@ def run_simulation(name: str, out_dir, config: dict | None = None) -> dict:
     config = ConfigReader(config or {}, name)
     law = config.build("q", lattice.SpringLaw, config.read("q", 2, "int"))  # p = 0, as every simulation decomposes
     n, seed = config.read("n", 16, "int"), config.seed
+    if n < 2:
+        raise ValueError(f"config key 'n': side count N must be at least 2, got {n}")
     resolved = {"simulation": name, "n": n, "q": law.q, "p": law.p, "seed": seed}
     kinds = ["dilational"] if sweep else config.read("families", ["dilational", "shear"], "list of str")
     if len(set(kinds)) < len(kinds):
@@ -281,15 +284,17 @@ def run_oned(out_dir, config: dict | None = None) -> dict:
         profile = config.build("profile", solver.linear_growth, spec.read("a", 1.0, "float"),
                                spec.read("b", 0.0, "float"))
     else:
-        raise ValueError(f"unknown profile kind {kind!r}; it must be 'linear' or 'constant'")
+        raise ValueError(f"config key 'kind'{spec.where}: unknown profile kind {kind!r}; "
+                         "it must be 'linear' or 'constant'")
     rest = config.read("rest", 1.0, "float")
     if rest <= 0:
         raise ValueError(f"config key 'rest' must be positive, got {rest}")
     f_values = config.read("f_values", [2.0], "list of float")
     ns = config.read("ns", [16, 32, 64, 128, 256, 512], "list of int")
     config.close()
-    if any(a >= b for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"ns must be a non-empty, strictly increasing list of chain sizes, got {ns}")
+    if ns[0] < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"config key 'ns': ns must be a non-empty, strictly increasing list of chain sizes, "
+                         f"each at least 2, got {ns}")
 
     chains = []  # one per (f, n), n fastest
     results = []
@@ -340,11 +345,14 @@ def run_checks(out_dir=None, *, perturb_g2: float = 0.0, seed: int = 0, n_random
     report = {"checks": {}, "ok": True}
 
     # decomposition exactness over the three square partitions
-    growths, fs, w_g = np.empty((n_random, 4)), np.empty((n_random, 2, 2)), np.empty(n_random)
+    growths, fs = np.empty((n_random, 4)), np.empty((n_random, 2, 2))
     for i in range(n_random):
         growths[i] = rng.uniform(0.7, 1.4, 4)
         fs[i] = np.eye(2) + 0.4 * rng.standard_normal((2, 2))
-        w_g[i] = continuum.cauchy_born_energy(lattice.apply_growth(lat0, growths[i]), fs[i])
+    # W_g of every draw in one kernel call: the Cauchy-Born energy of lat0 grown by its row of growths
+    (terms,) = spring_terms(law, continuum.mapped_lengths(lat0.connectivity.matrix, fs),
+                            np.asarray(lat0.rest) * growths, growths**law.p)
+    w_g = sum_slices(terms, -1)
     worst = 0.0
     for dec in decs:
         tensors = continuum.growth_tensors(dec.parts, growths)

@@ -279,6 +279,16 @@ class FiniteLatticeSample:
         return self.nodes.astype(float) @ f.T
 
     @cached_property
+    def grown_rest(self) -> np.ndarray:
+        """Per edge, rest * growth: the spring kernel's scale, formed on first use."""
+        return self.rest * self.growth
+
+    @cached_property
+    def growth_weight(self) -> np.ndarray:
+        """Per edge, growth**p: the spring kernel's weight, formed on first use."""
+        return self.growth**self.law.p
+
+    @cached_property
     def direction_plan(self) -> "DirectionPlan":
         """This sample's `DirectionPlan`, built on first use."""
         n, dim, zero = self.n, self.dimension, (0,) * self.dimension

@@ -11,7 +11,17 @@ The relaxation, `relax_branch`, is a Newton method on the exact energy,
 gradient and interior Hessian, all three built from one call of the spring
 kernel (`springs.spring_terms`) per iterate; the per-edge Hessian blocks use
 the arithmetic of `springs.spring_hessian_block`, which the Cauchy-Born
-Hessian shares.  The interior degrees of freedom are numbered in node order
+Hessian shares.  That call is one pass over the edges: each length is the
+root of its vector's squared components summed in index order, the kernel
+forms the shifted stretch r / (L g) - 1 and its absolute value once for W,
+W' and W'', and the grown rest lengths L g and weights g**p are the
+sample's own, formed once (`FiniteLatticeSample.grown_rest` and
+`growth_weight`).  Each iterate keeps its edge vectors, lengths, tension
+W'/r and W'', so the Hessian of an iterate that a step is taken from needs
+no second kernel call.  Every result is the same to the bit as evaluating
+the law's W, W' and W'' each from its own stretch.
+
+The interior degrees of freedom are numbered in node order
 (`np.flatnonzero(~sample.boundary_mask())`), which makes the Hessian banded:
 a spring with step v joins interior nodes whose ranks differ by v read in
 base N - 1, so for the square lattice, whose longest such difference is N
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FiniteLatticeSample, build_sample, chain_connectivity
-from .springs import SpringLaw, per_length, profile_energy, spring_terms
+from .springs import SpringLaw, per_length, profile_energy, root_sum_squares, spring_terms
 
 
 class ConvergenceError(RuntimeError):
@@ -75,25 +85,31 @@ class SolveReport:
 
 
 def _edge_terms(sample: FiniteLatticeSample, positions: np.ndarray, order: int):
-    """Edge vectors, their lengths and the spring kernel's terms up to `order`."""
+    """Edge vectors, their lengths and the spring kernel's terms up to `order`.
+    Each length is the root of its vector's squared components summed in
+    index order (`springs.root_sum_squares`): `np.linalg.norm`'s, to the bit."""
     d, grid = np.empty((sample.n_edges, sample.dimension)), positions.reshape(sample.direction_plan.nodes)
     for run, box, tail, head, _ in sample.direction_plan.runs:
         np.subtract(grid[head], grid[tail], out=d[run].reshape(box + (-1,)))
-    r = np.linalg.norm(d, axis=-1)
-    return d, r, spring_terms(sample.law, r, sample.rest * sample.growth, sample.growth**sample.law.p, order)
+    r = root_sum_squares(d * d, -1)
+    return d, r, spring_terms(sample.law, r, sample.grown_rest, sample.growth_weight, order)
 
 
 class _Iterate:
     """Energy, gradient and interior Hessian of a sample at one set of node
     positions, from one call of the spring kernel, assembled by direction on
-    the node grid.  The Hessian is assembled on request, into a band the caller holds."""
+    the node grid.  The iterate keeps the edge vectors, their lengths, the
+    tension W'/r and W'' for its Hessian, which is assembled on request, into
+    a band the caller holds."""
 
     def __init__(self, sample: FiniteLatticeSample, positions: np.ndarray):
         self.sample, self.positions = sample, positions
         plan, grid = sample.direction_plan, positions.reshape(sample.direction_plan.nodes)
-        self._springs = d, r, (self.edge_energies, slope, _) = _edge_terms(sample, positions, 2)
+        d, r, (self.edge_energies, slope, curvature) = _edge_terms(sample, positions, 2)
+        tension = per_length(slope, r)
+        self._springs = d, r, tension, curvature
         self.energy = float(np.sum(self.edge_energies))
-        force = per_length(slope, r)[:, None] * d  # contribution along each edge
+        force = tension[:, None] * d  # contribution along each edge
         heads, tails = np.zeros((2,) + plan.nodes)  # summed apart, then subtracted, node by node
         for run, box, tail, head, _ in plan.runs:
             at_heads, at_tails, f = heads[head], tails[tail], force[run].reshape(box + (-1,))
@@ -109,11 +125,11 @@ class _Iterate:
         interior Hessian on and below the diagonal, and return it.  The edge
         blocks are those of `springs.spring_hessian_block`, to the bit."""
         plan = self.sample.direction_plan
-        d, r, (_, slope, curvature) = self._springs
-        tension = per_length(slope, r)
+        d, r, tension, curvature = self._springs
         a, b = zip(*plan.pairs)
         parts = per_length(curvature - tension, r * r)[:, None] * (d[:, a] * d[:, b])
-        parts[:, :self.sample.dimension] += tension[:, None]  # the pairs (a, a) come first
+        for k in range(self.sample.dimension):  # the pairs (a, a) come first; a column at a time,
+            parts[:, k] += tension              # which runs several times faster than one broadcast add
         out.fill(0.0)
         grid = out.reshape(plan.band)
         for run, box, _, _, ops in plan.runs:

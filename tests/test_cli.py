@@ -363,17 +363,24 @@ def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, comma
         (["order"], {"lattice": {"rest": [1.0, 1.0, 1.0]}}, "config key 'lattice': expected 4 rest lengths, got 3"),
         (["decompose"], {"lattice": {"directions": [[1, 0], [-1, 0]]}},
          "config key 'lattice': directions (-1, 0) and (1, 0) are opposite"),
+        (["simulate", "sim2"], {"n": 1}, "config key 'n': side count N must be at least 2, got 1"),
+        (["oned"], {"ns": [1, 2]}, "config key 'ns': ns must be a non-empty, strictly increasing list"),
+        (["oned"], {"ns": [16, 8]}, "config key 'ns': ns must be a non-empty, strictly increasing list"),
+        (["oned"], {"profile": {"kind": "quadratic"}},
+         "config key 'kind' in profile: unknown profile kind 'quadratic'"),
     ],
     ids=["families-empty", "f_values-empty", "deltas_hv-empty", "deltas_d-empty", "families-repeated",
          "growth_interval-three", "growth_interval-empty", "rest-zero", "rest-negative", "growth_interval-reversed",
          "families-unknown", "count-one", "q-one", "lam_max-below-one", "high", "deltas_hv-above-one",
-         "deltas_d-negative", "profile-decreasing", "oned-q-one", "lattice-rest-count", "lattice-opposite"],
+         "deltas_d-negative", "profile-decreasing", "oned-q-one", "lattice-rest-count", "lattice-opposite",
+         "n-one", "ns-below-two", "ns-decreasing", "profile-kind-unknown"],
 )
 def test_an_empty_list_a_repeated_family_or_a_bad_value_exits_2_naming_its_key(tmp_path, command, config, message):
     # the empty lists and the repeated family used to run and exit 0, the second fit of a repeated
     # family overwriting the first; the intervals stopped on an unpack error naming no key, and a
     # rest length that is not positive on "failed to bracket the stress"; a value that a domain
-    # object rejects (a growth scenario, a family, the spring law, the growth rate) used to name no key
+    # object rejects (a growth scenario, a family, the spring law, the growth rate) used to name no key,
+    # and so did a side count below 2, a list of chain sizes that does not rise and an unknown profile kind
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"n": 4, "count": 3, **config} if command[0] == "simulate" else config))
     result = run_cli(tmp_path, "--config", str(path), *command)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from growlat.homogenize import (
     fit_rest_lengths,
     sample_family,
 )
+from growlat.solver import ConvergenceError
 
 SQRT2 = math.sqrt(2.0)
 SIM1_ANSATZ = GrowthAnsatz("isotropic", "per-direction")
@@ -199,3 +202,35 @@ def test_sim1_targets_are_the_mean_of_two_cauchy_born_densities(monkeypatch, n, 
                 for a, b in ((high, low), (low, high)))
     assert len(reports) == len(fs) and all(report.iterations == 0 for report in reports)
     assert np.all(np.abs(measured - (w_a + w_b) / 2) <= 1e-14 * np.abs(measured))
+
+
+# ---------------------------------------------------------------------------
+# Branch solves against the benchmark's recorded fingerprints
+
+
+def test_relax_n16_seed_0_matches_its_recorded_fingerprint():
+    # the benchmark's relax-n16 data at input seed 0: sim2's growth field at
+    # N = 16 under sim2's dilational and shear families of 60, one
+    # measured_energies call per datum; the file is only read
+    path = Path(__file__).resolve().parents[1] / "bench" / "fingerprints.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    tol, want = recorded["tolerances"], recorded["relax-n16"]["0"]
+    law = lattice.SpringLaw(q=2, p=0.0)
+    scenario = lattice.uniform_growth(((0.8, 1.2),) * 4, seed=0)
+    sample = lattice.build_sample(lattice.square_connectivity(), 16, (1.0, 1.0, SQRT2, SQRT2), scenario, law)
+    families = (DeformationFamily("dilational", lam_max=1.5, count=60),
+                DeformationFamily("shear", lam_shear=0.5, count=60))
+    fs = np.concatenate([sample_family(family)[1] for family in families])
+    energies, unconverged = [], []
+    for i, f in enumerate(fs):
+        try:
+            energies.append(float(homogenize.measured_energies(sample, f[None])[0]))
+        except ConvergenceError:
+            energies.append(None)
+            unconverged.append(i)
+    assert unconverged == want["unconverged"]
+    assert len(energies) == len(want["energies"])
+    for got, expected in zip(energies, want["energies"]):
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert abs(got - expected) <= tol["energy_atol"] + tol["energy_rtol"] * abs(expected)

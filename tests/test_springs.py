@@ -63,7 +63,7 @@ def homogeneity_bound(law, eta, rest, current, rhs):
     eps, which 1e-12 |rhs| covers."""
     x = current / rest
     dx = 6 * np.finfo(float).eps * x
-    curvature = np.max(law.second(np.array([x - dx, x + dx])))
+    curvature = np.max(springs.spring_terms(law, np.array([x - dx, x + dx]), 1.0, 1.0, 2)[2])
     change = abs(law.deriv(x)) * dx + 0.5 * curvature * dx**2
     return eta**law.p * rest**law.p * change + 1e-12 * abs(rhs)
 
@@ -137,3 +137,42 @@ def test_profile_first_derivative_vanishes_at_rest():
     assert abs(fd) < 1e-9
     assert law.deriv(1.0) == 0.0
 
+
+
+def reference_terms(law, r, scale, weight, order):
+    """The kernel's terms as the law's three expressions evaluated apart,
+    each from its own x - 1: weight * W^(k)(r / scale) / scale**k."""
+    q, x = law.q, r / scale
+    value = np.abs(x - 1.0) ** q
+    deriv = q * np.abs(x - 1.0) ** (q - 1) * np.sign(x - 1.0)
+    second = q * (q - 1) * np.abs(x - 1.0) ** (q - 2)
+    return [weight * value, weight * deriv / scale, weight * second / scale**2][: order + 1]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_spring_terms_are_the_law_expressions_to_the_bit(q, p, order):
+    rng = np.random.default_rng(q + 10 * order)
+    growth = rng.uniform(0.8, 1.2, (3, 40))
+    scale = rng.uniform(0.8, 1.5, 40) * growth
+    # stretches on both sides of 1, exactly 1, and r = 0
+    stretch = np.concatenate([[0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12], rng.uniform(0.3, 1.7, 36)])
+    r = stretch * scale
+    law = springs.SpringLaw(q=q, p=p)
+    got = springs.spring_terms(law, r, scale, growth**p, order)
+    want = reference_terms(law, r, scale, growth**p, order)
+    assert len(got) == order + 1
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_per_length_is_the_two_where_form_to_the_bit():
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.0, 2.0, (4, 30))
+    r[:, :5] = 0.0
+    values = rng.standard_normal((4, 30))
+    want = np.where(r > 0, values / np.where(r > 0, r, 1.0), 0.0)
+    got = springs.per_length(values, r)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[:, :5] == 0.0)
